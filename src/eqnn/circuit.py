@@ -25,6 +25,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
+from .statevector import MAX_QUBITS
 
 # --------------------------------------------------------------------------
 # Angle expressions
@@ -204,9 +205,9 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n_qubits <= 20:
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ConfigurationError(
-                f"n_qubits must be between 1 and 20, got {self.n_qubits}"
+                f"n_qubits must be between 1 and {MAX_QUBITS}, got {self.n_qubits}"
             )
         object.__setattr__(self, "gates", tuple(self.gates))
         for gate in self.gates:
@@ -267,33 +268,41 @@ def concat(first: Circuit, second: Circuit) -> Circuit:
 
 @dataclass(frozen=True)
 class BoundGate:
-    """A gate with its angle evaluated to a number."""
+    """A gate with its angle evaluated: a number, or one per row of a batch."""
 
     name: str
     qubits: tuple[int, ...]
-    angle: float | None = None
+    angle: float | np.ndarray | None = None
 
 
 def bind(circuit: Circuit, inputs, weights) -> tuple[BoundGate, ...]:
     """Evaluate every angle against concrete inputs and weights.
 
-    The argument lengths must equal the circuit's input and weight
-    arity exactly — a partial binding is rejected rather than deferred.
+    ``inputs`` is one row of shape ``(n_inputs,)`` or a batch of shape
+    ``(batch, n_inputs)``; ``weights`` has shape ``(n_weights,)``.  An
+    angle that depends on the inputs becomes a ``(batch,)`` array for a
+    batch; every other angle is a plain float.  This is the one place
+    that checks arity: the lengths must equal the circuit's input and
+    weight arity exactly — a partial binding is rejected rather than
+    deferred.
     """
     inputs = np.asarray(inputs, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    for label, got, want in (
-        ("inputs", inputs.shape, circuit.input_arity),
-        ("weights", weights.shape, circuit.weight_arity),
-    ):
-        if got != (want,):
-            raise UsageError(f"circuit needs {want} {label}, got shape {got}")
-    return tuple(
-        BoundGate(
-            g.name,
-            g.qubits,
-            None if g.angle is None else float(evaluate(g.angle, inputs, weights)),
+    if inputs.ndim not in (1, 2) or inputs.shape[-1] != circuit.input_arity:
+        raise UsageError(
+            f"circuit needs {circuit.input_arity} inputs per row, got shape {inputs.shape}"
         )
+    if weights.shape != (circuit.weight_arity,):
+        raise UsageError(
+            f"circuit needs {circuit.weight_arity} weights, got shape {weights.shape}"
+        )
+
+    def angle(expr):
+        value = evaluate(expr, inputs, weights)
+        return float(value) if np.ndim(value) == 0 else value
+
+    return tuple(
+        BoundGate(g.name, g.qubits, None if g.angle is None else angle(g.angle))
         for g in circuit.gates
     )
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-import tempfile
 import time
 
 import click
@@ -32,6 +31,7 @@ from . import __version__
 from .circuit import circuit_to_dict, diagram
 from .data import (
     Dataset,
+    _write_atomic,
     gen_linear,
     gen_sigmoid,
     gen_tanh,
@@ -53,13 +53,13 @@ from .qnn import (
     MODEL_NAMES,
     SQUARED_ERROR,
     QnnModel,
+    _decide,
     accuracy,
     batch_loss,
     build_model,
     gate_summary,
-    parity_signs,
+    predict_probs,
     predict_regression,
-    probabilities_batch,
     simplified_model,
 )
 
@@ -93,18 +93,8 @@ def _friendly_errors(f):
 
 
 def _atomic_write(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
-        os.chmod(tmp, 0o644)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    _write_atomic(path, text)
 
 
 def _write_json(path: str, payload: dict):
@@ -142,17 +132,16 @@ def _train_once(model: QnnModel, kind: str, dataset: Dataset, optimizer: str,
 
 
 def _sampled_accuracy(model: QnnModel, w, dataset: Dataset, shots: int, seed: int) -> float:
-    """Accuracy under shot noise: finite samples of each measurement."""
+    """Accuracy under shot noise: finite samples of each measurement.
+
+    Only the parity of each shot decides the class, so the number of
+    even-parity shots per row is one binomial draw on P(even).
+    """
     rng = np.random.default_rng(seed)
-    probs = probabilities_batch(model, dataset.features_array(), w)
-    even_mask = parity_signs(model.n_qubits) > 0
-    correct = 0
-    for row, label in zip(probs, dataset.targets_array().astype(int)):
-        counts = rng.multinomial(shots, row / row.sum())
-        p_even = counts[even_mask].sum() / shots
-        predicted = 1 if (1.0 - p_even) > p_even else 0
-        correct += predicted == label
-    return correct / len(dataset)
+    p_even = np.clip(predict_probs(model, dataset.features_array(), w)[:, 0], 0.0, 1.0)
+    sampled_even = rng.binomial(shots, p_even) / shots
+    predicted = _decide(sampled_even, 1.0 - sampled_even)
+    return float(np.mean(predicted == dataset.targets_array().astype(int)))
 
 
 @click.group()
@@ -357,10 +346,10 @@ def cmd_reproduce(seed: int, iters: int, out_dir: str):
         click.echo(f"fit {target}: mse {mse:.6g}")
 
     table3: dict[str, dict[str, float]] = {}
+    dataset = gen_two_class_usage(500, seed)
     for name, model in models.items():
         table3[name] = {}
         for optimizer in OPTIMIZER_NAMES:
-            dataset = gen_two_class_usage(500, seed)
             trace, final_loss = _train_once(
                 model, CROSS_ENTROPY, dataset, optimizer, iters, seed
             )

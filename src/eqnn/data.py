@@ -212,7 +212,11 @@ def save_csv(dataset: Dataset, path):
         row = [repr(float(v)) for v in s.features]
         row.append(_format_target(dataset.kind, s.target))
         lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
+    _write_atomic(path, "\n".join(lines) + "\n")
+
+
+def _write_atomic(path, text: str):
+    """Write ``text`` with LF endings via a temp file renamed over ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:

@@ -266,46 +266,34 @@ def _check_shift_precondition(model: qnn.QnnModel) -> None:
 def parameter_shift_gradient(model: qnn.QnnModel, w, dataset, kind: str) -> np.ndarray:
     """Exact dL/dw via two +-pi/2-shifted evaluations per weight.
 
-    The circuit-level derivative of each prediction is
+    The circuit-level derivative of each fitted value is
     (f(w_j + pi/2) - f(w_j - pi/2)) / 2; the loss's outer derivative
     (squared error or clamped cross-entropy) is applied analytically.
+    Where P(label) is below ``PROB_EPS`` the clamped loss is flat, so
+    those rows contribute 0.
     """
     qnn._check_pairing(model, dataset, kind)
     _check_shift_precondition(model)
     w = np.asarray(w, dtype=float)
-    if w.shape != (model.n_weights,):
-        raise UsageError(
-            f"model {model.name} has {model.n_weights} weight(s), got shape {w.shape}"
-        )
     X = dataset.features_array()
     targets = dataset.targets_array()
-    grad = np.empty(model.n_weights)
-
+    base = qnn._fitted(model, X, w, targets, kind)
     if kind == qnn.SQUARED_ERROR:
-        base = qnn.predict_regression(model, X, w)
         residual = 2.0 * (base - targets)
-        for j in range(model.n_weights):
-            shift = np.zeros_like(w)
-            shift[j] = math.pi / 2.0
-            dy = (
-                qnn.predict_regression(model, X, w + shift)
-                - qnn.predict_regression(model, X, w - shift)
-            ) / 2.0
-            grad[j] = np.mean(residual * dy)
-        return grad
-
-    labels = targets.astype(int)
-    rows = np.arange(len(labels))
-    base = qnn.predict_probs(model, X, w)[rows, labels]
-    clamped = np.maximum(base, qnn.PROB_EPS)
+    else:
+        clamped, flat = np.maximum(base, qnn.PROB_EPS), base < qnn.PROB_EPS
+    grad = np.empty(model.n_weights)
     for j in range(model.n_weights):
         shift = np.zeros_like(w)
         shift[j] = math.pi / 2.0
-        dp = (
-            qnn.predict_probs(model, X, w + shift)[rows, labels]
-            - qnn.predict_probs(model, X, w - shift)[rows, labels]
+        df = (
+            qnn._fitted(model, X, w + shift, targets, kind)
+            - qnn._fitted(model, X, w - shift, targets, kind)
         ) / 2.0
-        grad[j] = np.mean(-dp / clamped)
+        if kind == qnn.SQUARED_ERROR:
+            grad[j] = np.mean(residual * df)
+        else:
+            grad[j] = np.mean(np.where(flat, 0.0, -df / clamped))
     return grad
 
 

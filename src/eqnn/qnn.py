@@ -14,10 +14,14 @@ Model zoo:
 * ``benchmark`` — ZZ-style encoder + 3-rep RY ansatz, parity head.
 * ``eqnn1/2/3`` — economical encoder + 1/2/3-rep RY ansatz, parity head.
 
-Batch evaluation walks the gate list once over a ``(batch, dim)``
-amplitude array, so one call evaluates the whole dataset.  Per-sample
-results are identical to one-at-a-time simulation; batch means use
-``np.mean`` (pairwise summation) as the one documented reduction order.
+Every evaluation goes through one gate walk, ``_amplitudes``: it binds
+the circuit (one row or a ``(batch, n_inputs)`` batch) and applies the
+gates in order, so one call evaluates a whole dataset (in blocks of rows)
+and a batch row is identical to one-at-a-time simulation.  Every loss
+goes through one core, ``_fitted``, which gives the per-row value the
+loss is taken of.
+Batch means use ``np.mean`` (pairwise summation) as the one documented
+reduction order.
 """
 
 from __future__ import annotations
@@ -37,18 +41,10 @@ from .circuit import (
     build_efm,
     build_real_amplitudes,
     concat,
-    evaluate,
     gate_count,
 )
 from .errors import UsageError
-from .statevector import (
-    StateVector,
-    kernel_cnot,
-    kernel_h,
-    kernel_phase,
-    kernel_ry,
-    zero_state,
-)
+from .statevector import StateVector, _apply
 
 REGRESSION = "regression"
 PARITY = "parity"
@@ -147,54 +143,38 @@ def parity_signs(n_qubits: int) -> np.ndarray:
 # Simulation
 
 
+def _amplitudes(circuit: Circuit, inputs, weights) -> np.ndarray:
+    """Bind ``circuit`` and run it gate by gate from the all-zeros state.
+
+    One input row gives ``2**n`` amplitudes; a ``(batch, n_inputs)``
+    batch gives ``(batch, 2**n)``.
+    """
+    gates = bind(circuit, inputs, weights)
+    amps = np.zeros(np.shape(inputs)[:-1] + (1 << circuit.n_qubits,), dtype=complex)
+    amps[..., 0] = 1.0
+    for g in gates:
+        amps = _apply(amps, g.name, g.qubits, g.angle)
+    return amps
+
+
 def simulate(circuit: Circuit, inputs, weights) -> StateVector:
-    """Bind and run a circuit gate by gate from the all-zeros state."""
-    state = zero_state(circuit.n_qubits)
-    amps = state.amps
-    for g in bind(circuit, inputs, weights):
-        if g.name == "h":
-            amps = kernel_h(amps, g.qubits[0])
-        elif g.name == "phase":
-            amps = kernel_phase(amps, g.angle, g.qubits[0])
-        elif g.name == "ry":
-            amps = kernel_ry(amps, g.angle, g.qubits[0])
-        else:
-            amps = kernel_cnot(amps, g.qubits[0], g.qubits[1])
-    return StateVector(circuit.n_qubits, amps)
+    """Bind and run a circuit on one input row from the all-zeros state."""
+    return StateVector(circuit.n_qubits, _amplitudes(circuit, inputs, weights))
 
 
-def _check_rows(model: QnnModel, X: np.ndarray, w: np.ndarray):
-    if X.ndim != 2 or X.shape[1] != model.n_inputs:
-        raise UsageError(
-            f"model {model.name} takes {model.n_inputs} input(s) per row, "
-            f"got array of shape {X.shape}"
-        )
-    if w.shape != (model.n_weights,):
-        raise UsageError(
-            f"model {model.name} has {model.n_weights} weight(s), "
-            f"got array of shape {w.shape}"
-        )
+# A batch is evaluated in blocks of at most this many amplitudes (64 KB of
+# complex128).  Kernel outputs that size stay below malloc's mmap threshold
+# and are reused from its heap; whole-batch ones would be mapped and
+# unmapped afresh on every gate.
+_BLOCK_AMPLITUDES = 4096
 
 
 def probabilities_batch(model: QnnModel, X, w) -> np.ndarray:
     """Basis-state probabilities for each input row: shape (batch, 2**n)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    w = np.asarray(w, dtype=float)
-    _check_rows(model, X, w)
-    amps = np.zeros((X.shape[0], 1 << model.n_qubits), dtype=complex)
-    amps[:, 0] = 1.0
-    for gate in model.circuit.gates:
-        if gate.name == "h":
-            amps = kernel_h(amps, gate.qubits[0])
-        elif gate.name == "cnot":
-            amps = kernel_cnot(amps, gate.qubits[0], gate.qubits[1])
-        else:
-            theta = evaluate(gate.angle, X, w)
-            if gate.name == "phase":
-                amps = kernel_phase(amps, theta, gate.qubits[0])
-            else:
-                amps = kernel_ry(amps, theta, gate.qubits[0])
-    return np.abs(amps) ** 2
+    step = max(1, _BLOCK_AMPLITUDES >> model.n_qubits)
+    blocks = [X[i : i + step] for i in range(0, max(len(X), 1), step)]
+    return np.concatenate([np.abs(_amplitudes(model.circuit, b, w)) ** 2 for b in blocks])
 
 
 def predict_regression(model: QnnModel, X, w) -> np.ndarray:
@@ -267,22 +247,31 @@ def _check_pairing(model: QnnModel, dataset, kind: str):
         )
 
 
+def _fitted(model: QnnModel, X, w, targets: np.ndarray, kind: str) -> np.ndarray:
+    """Per-row value the loss is taken of: y' for squared error, P(label) otherwise."""
+    if kind == SQUARED_ERROR:
+        return predict_regression(model, X, w)
+    return predict_probs(model, X, w)[np.arange(len(targets)), targets.astype(int)]
+
+
 def batch_loss(model: QnnModel, w, dataset, kind: str) -> float:
     """Arithmetic mean of per-sample losses over a dataset."""
     _check_pairing(model, dataset, kind)
-    X = dataset.features_array()
     targets = dataset.targets_array()
+    fitted = _fitted(model, dataset.features_array(), w, targets, kind)
     if kind == SQUARED_ERROR:
-        y = predict_regression(model, X, w)
-        return float(np.mean((y - targets) ** 2))
-    probs = predict_probs(model, X, w)
-    picked = probs[np.arange(len(dataset)), targets.astype(int)]
-    return float(np.mean(-np.log(np.maximum(picked, PROB_EPS))))
+        return float(np.mean((fitted - targets) ** 2))
+    return float(np.mean(-np.log(np.maximum(fitted, PROB_EPS))))
+
+
+def _decide(p0, p1):
+    """The hard decision rule on probabilities (or arrays of them): tie -> 0."""
+    return (np.asarray(p1) > p0).astype(int)
 
 
 def decide(probs: ClassProbs) -> int:
     """Hard decision rule; an exact tie resolves to class 0."""
-    return 1 if probs.p1 > probs.p0 else 0
+    return int(_decide(probs.p0, probs.p1))
 
 
 def predict_class(model: QnnModel, x, w) -> int:
@@ -300,7 +289,7 @@ def accuracy(model: QnnModel, w, dataset) -> float:
     if model.head != PARITY or dataset.kind != "classification":
         raise UsageError("accuracy needs a parity-head model and labeled classes")
     probs = predict_probs(model, dataset.features_array(), w)
-    predicted = (probs[:, 1] > probs[:, 0]).astype(int)
+    predicted = _decide(probs[:, 0], probs[:, 1])
     return float(np.mean(predicted == dataset.targets_array().astype(int)))
 
 

@@ -5,7 +5,7 @@ amplitude index, so for two qubits the basis order is
 ``|00>, |01>, |10>, |11>`` with the *right* bit belonging to qubit 0.
 Basis label ``|q1 q0>`` therefore reads right-to-left.
 
-Two layers:
+Two layers over one dispatch:
 
 * ``kernel_*`` functions operate on raw complex arrays of shape
   ``(..., 2**n)``.  Leading axes broadcast, so a batch of states (and a
@@ -15,12 +15,17 @@ Two layers:
   / ``probabilities`` wrap the kernels in a validated value type for
   single-state work.
 
+``_apply`` is the one place that maps a gate name (``h``, ``phase``,
+``ry``, ``cnot``) to its kernel; the value-type API and the circuit
+walk in ``qnn`` both go through it.
+
 All operations are pure; nothing mutates its input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -96,6 +101,19 @@ def kernel_cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
     return amps[..., src]
 
 
+def _apply(amps: np.ndarray, name: str, qubits: tuple[int, ...], angle=None) -> np.ndarray:
+    """Apply the gate called ``name`` to ``qubits`` of ``amps``."""
+    if name == "h":
+        return kernel_h(amps, qubits[0])
+    if name == "phase":
+        return kernel_phase(amps, angle, qubits[0])
+    if name == "ry":
+        return kernel_ry(amps, angle, qubits[0])
+    if name == "cnot":
+        return kernel_cnot(amps, qubits[0], qubits[1])
+    raise UsageError(f"unknown gate {name!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """An ``n_qubits`` register as ``2**n_qubits`` complex amplitudes.
@@ -133,17 +151,19 @@ class StateVector:
 
 @dataclass(frozen=True)
 class Hadamard:
-    pass
+    name: ClassVar[str] = "h"
 
 
 @dataclass(frozen=True)
 class Phase:
     theta: float
+    name: ClassVar[str] = "phase"
 
 
 @dataclass(frozen=True)
 class RY:
     theta: float
+    name: ClassVar[str] = "ry"
 
 
 def zero_state(n_qubits: int) -> StateVector:
@@ -159,20 +179,15 @@ def zero_state(n_qubits: int) -> StateVector:
 
 def apply_single(state: StateVector, gate, qubit: int) -> StateVector:
     """Apply a one-qubit gate (``Hadamard``, ``Phase`` or ``RY``) to ``qubit``."""
-    if isinstance(gate, Hadamard):
-        amps = kernel_h(state.amps, qubit)
-    elif isinstance(gate, Phase):
-        amps = kernel_phase(state.amps, gate.theta, qubit)
-    elif isinstance(gate, RY):
-        amps = kernel_ry(state.amps, gate.theta, qubit)
-    else:
+    if not isinstance(gate, (Hadamard, Phase, RY)):
         raise UsageError(f"not a single-qubit gate: {gate!r}")
+    amps = _apply(state.amps, gate.name, (qubit,), getattr(gate, "theta", None))
     return StateVector(state.n_qubits, amps)
 
 
 def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     """Apply CNOT with the given control and target qubits."""
-    return StateVector(state.n_qubits, kernel_cnot(state.amps, control, target))
+    return StateVector(state.n_qubits, _apply(state.amps, "cnot", (control, target)))
 
 
 def probabilities(state: StateVector) -> np.ndarray:

@@ -44,6 +44,23 @@ def cnot_matrix(n_qubits: int, control: int, target: int) -> np.ndarray:
     return op
 
 
+def circuit_state(n_qubits: int, gates) -> np.ndarray:
+    """|0...0> through ``(name, qubits, theta)`` gates by dense matrix products."""
+    state = np.zeros(1 << n_qubits, dtype=complex)
+    state[0] = 1.0
+    for name, qubits, theta in gates:
+        if name == "cnot":
+            op = cnot_matrix(n_qubits, *qubits)
+        elif name == "h":
+            op = single_on(n_qubits, qubits[0], H2)
+        elif name == "phase":
+            op = single_on(n_qubits, qubits[0], phase_matrix(theta))
+        else:
+            op = single_on(n_qubits, qubits[0], ry_matrix(theta))
+        state = op @ state
+    return state
+
+
 def random_state(rng: np.random.Generator, n_qubits: int) -> np.ndarray:
     """A Haar-ish random normalized amplitude vector."""
     amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)

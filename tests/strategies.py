@@ -1,0 +1,62 @@
+"""Hypothesis strategies for random circuits, models and their numeric inputs."""
+
+import math
+
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from eqnn.circuit import GATE_NAMES, Circuit, Const, Gate, Input, Weight
+from eqnn.qnn import PARITY, QnnModel
+
+COEFFICIENTS = st.floats(-4.0, 4.0)
+
+
+@st.composite
+def affine(draw, leaves):
+    """``c0 + c1*leaf + ...`` over up to two of ``leaves``."""
+    expr = Const(draw(COEFFICIENTS))
+    for leaf in draw(st.lists(st.sampled_from(leaves), max_size=2)) if leaves else []:
+        expr = expr + draw(COEFFICIENTS) * leaf
+    return expr
+
+
+@st.composite
+def angles(draw, leaves):
+    """An affine angle, or the product of two (like the benchmark pair phase)."""
+    expr = draw(affine(leaves))
+    return expr * draw(affine(leaves)) if draw(st.booleans()) else expr
+
+
+@st.composite
+def circuits(draw, n_qubits, leaves, max_gates=8):
+    """1 to ``max_gates`` random h/phase/ry/cnot gates with angles over ``leaves``."""
+    names = GATE_NAMES if n_qubits > 1 else tuple(n for n in GATE_NAMES if n != "cnot")
+    gates = []
+    for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=max_gates)):
+        if name == "cnot":
+            control, target = draw(st.permutations(range(n_qubits)))[:2]
+            gates.append(Gate(name, (control, target)))
+        else:
+            qubit = draw(st.integers(0, n_qubits - 1))
+            gates.append(Gate(name, (qubit,), None if name == "h" else draw(angles(leaves))))
+    return Circuit(n_qubits, tuple(gates))
+
+
+@st.composite
+def models(draw):
+    """A parity-head model on 1-4 qubits: random feature map, random ansatz."""
+    n_qubits = draw(st.integers(1, 4))
+    inputs = [Input(i) for i in range(draw(st.integers(0, 2)))]
+    weights = [Weight(j) for j in range(draw(st.integers(0, 3)))]
+    return QnnModel(
+        "random", draw(circuits(n_qubits, inputs)), draw(circuits(n_qubits, weights)), PARITY
+    )
+
+
+def rows(n_rows, n_inputs):
+    """A ``(n_rows, n_inputs)`` batch of inputs."""
+    return arrays(float, (n_rows, n_inputs), elements=st.floats(-2.0, 2.0))
+
+
+def weights(n_weights):
+    return arrays(float, (n_weights,), elements=st.floats(-math.pi, math.pi))

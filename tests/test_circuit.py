@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+import strategies
 from eqnn.circuit import (
     Circuit,
     Const,
@@ -154,10 +157,37 @@ def test_bind_requires_exact_arity():
         bind(circuit, [0.5, 0.5, 0.5], [])
     with pytest.raises(UsageError):
         bind(build_real_amplitudes(2, 1), [], [0.1, 0.2, 0.3])
+    with pytest.raises(UsageError):
+        bind(circuit, np.zeros((3, 1)), [])
+    with pytest.raises(UsageError):
+        bind(circuit, np.zeros((2, 3, 2)), [])
+    with pytest.raises(UsageError):
+        bind(build_real_amplitudes(2, 1), np.zeros((3, 0)), np.zeros((1, 4)))
     bound = bind(circuit, [0.2, 0.9], [])
     assert all(
         (g.angle is None) == (g.name in ("h", "cnot")) for g in bound
     )
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_batch_bind_equals_per_row_bind(data):
+    leaves = [Input(0), Input(1), Weight(0), Weight(1)]
+    circuit = data.draw(strategies.circuits(data.draw(st.integers(1, 4)), leaves))
+    X = data.draw(strategies.rows(data.draw(st.integers(1, 8)), circuit.input_arity))
+    w = data.draw(strategies.weights(circuit.weight_arity))
+    per_row = [bind(circuit, x, w) for x in X]
+    for k, bound in enumerate(bind(circuit, X, w)):
+        assert all((r[k].name, r[k].qubits) == (bound.name, bound.qubits) for r in per_row)
+        assert all(isinstance(r[k].angle, (float, type(None))) for r in per_row)
+        if bound.angle is None:
+            assert all(r[k].angle is None for r in per_row)
+        elif Circuit(circuit.n_qubits, (circuit.gates[k],)).input_arity:
+            assert isinstance(bound.angle, np.ndarray) and bound.angle.shape == (len(X),)
+            assert bound.angle.tolist() == [r[k].angle for r in per_row]
+        else:
+            assert isinstance(bound.angle, float)
+            assert all(r[k].angle == bound.angle for r in per_row)
 
 
 # --------------------------------------------------------------------------

@@ -3,11 +3,14 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from scipy.stats import binom
 
-from eqnn.cli import main
+from eqnn.cli import _sampled_accuracy, main
 from eqnn.data import gen_sigmoid, gen_two_class_usage, save_csv
+from eqnn.qnn import build_model, predict_probs
 
 
 @pytest.fixture
@@ -203,6 +206,26 @@ def test_train_split_and_shots_fields(runner, tmp_path):
     assert 0.0 <= report["test_accuracy"] <= 1.0
     assert report["shots"] == 64
     assert 0.0 <= report["accuracy_sampled"] <= 1.0
+
+
+def test_sampled_accuracy_within_binomial_band():
+    # Row i is called class 0 when at least half of its shots land on an
+    # even-parity state; the expected accuracy follows from binomial tails.
+    model = build_model("eqnn1")
+    dataset = gen_two_class_usage(100, seed=3)
+    w = np.array([0.3, -1.2, 2.0, 0.5])
+    shots = 16
+    p_even = predict_probs(model, dataset.features_array(), w)[:, 0]
+    p_class0 = binom.sf(shots // 2 - 1, shots, p_even)
+    labels = dataset.targets_array().astype(int)
+    p_correct = np.where(labels == 0, p_class0, 1.0 - p_class0)
+    mean = p_correct.mean()
+    band = 6.0 * np.sqrt(np.sum(p_correct * (1.0 - p_correct))) / len(labels)
+    assert abs(mean - 0.5) > band  # a flipped decision rule would fail
+    for seed in range(3):
+        got = _sampled_accuracy(model, w, dataset, shots, seed)
+        assert got == _sampled_accuracy(model, w, dataset, shots, seed)
+        assert abs(got - mean) <= band + 1.0 / len(labels)
 
 
 def test_train_dump_circuit_and_wide_rescale(runner, tmp_path):

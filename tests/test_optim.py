@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eqnn.circuit import Circuit, Gate, Weight
+from eqnn.circuit import Circuit, Gate, Input, Weight
 from eqnn.data import Dataset, Sample, gen_linear, gen_two_class_usage
 from eqnn.errors import (
     ConfigurationError,
@@ -21,6 +21,7 @@ from eqnn.optim import (
 )
 from eqnn.qnn import (
     CROSS_ENTROPY,
+    PARITY,
     REGRESSION,
     SQUARED_ERROR,
     QnnModel,
@@ -282,6 +283,23 @@ def test_shift_gradient_agrees_with_finite_differences():
         np.testing.assert_allclose(
             got, finite_difference(model, w, dataset, CROSS_ENTROPY), atol=1e-6
         )
+
+
+def test_shift_gradient_is_zero_where_cross_entropy_is_clamped():
+    # RY(w) RY(x)|0> at x = 0, w = 1e-7: P(label 1) = sin(w/2)^2 ~ 2.5e-15 is
+    # below PROB_EPS, so the clamped loss is flat and its derivative is 0.
+    model = QnnModel(
+        "clamped",
+        Circuit(1, (Gate("ry", (0,), Input(0)),)),
+        Circuit(1, (Gate("ry", (0,), Weight(0)),)),
+        PARITY,
+    )
+    dataset = Dataset((Sample((0.0,), 1),), "classification", "toy", 0)
+    w = np.array([1e-7])
+    got = parameter_shift_gradient(model, w, dataset, CROSS_ENTROPY)
+    want = finite_difference(model, w, dataset, CROSS_ENTROPY, h=1e-6)
+    assert want[0] == 0.0
+    np.testing.assert_array_equal(got, want)
 
 
 def test_shift_gradient_rejects_invalid_weight_placement():

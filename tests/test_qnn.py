@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from eqnn.circuit import Circuit, Gate, Input, Weight, build_efm, build_real_amplitudes
+import strategies
+from eqnn.circuit import Circuit, Gate, Input, Weight, bind, build_efm, build_real_amplitudes
 from eqnn.data import Dataset, Sample, gen_linear, gen_two_class_usage
 from eqnn.errors import UsageError
 from eqnn.qnn import (
@@ -170,16 +173,38 @@ def test_forward_arity_validation():
         forward(model, [0.1, 0.2], [0.0])
 
 
-def test_batch_rows_equal_single_state_simulation():
-    rng = np.random.default_rng(35)
-    for name in ALL_NAMED:
-        model = build_model(name)
-        w = rng.uniform(-math.pi, math.pi, model.n_weights)
-        X = rng.uniform(0.0, 1.0, (20, 2))
-        batch = probabilities_batch(model, X, w)
-        for i in range(len(X)):
-            single = np.abs(simulate(model.circuit, X[i], w).amps) ** 2
-            np.testing.assert_array_equal(batch[i], single)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_batch_rows_equal_single_state_simulation(data):
+    # Named models and random circuits (h/phase/ry/cnot on 1-4 qubits):
+    # every batch row is exactly the one-row simulation, and both match
+    # the dense matrix product of the bound gates.
+    model = data.draw(
+        st.one_of(st.sampled_from(ALL_NAMED).map(build_model), strategies.models())
+    )
+    X = data.draw(strategies.rows(data.draw(st.integers(1, 8)), model.n_inputs))
+    w = data.draw(strategies.weights(model.n_weights))
+    batch = probabilities_batch(model, X, w)
+    assert batch.shape == (len(X), 1 << model.n_qubits)
+    for x, row in zip(X, batch):
+        single = simulate(model.circuit, x, w).amps
+        np.testing.assert_array_equal(row, np.abs(single) ** 2)
+        dense = oracles.circuit_state(
+            model.n_qubits, [(g.name, g.qubits, g.angle) for g in bind(model.circuit, x, w)]
+        )
+        np.testing.assert_allclose(single, dense, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(row, np.abs(dense) ** 2, rtol=0.0, atol=1e-12)
+
+
+def test_batch_walked_in_blocks_equals_single_state_simulation():
+    # 2 qubits walk 1024 rows per block; 2051 rows span three blocks,
+    # the last a partial one.
+    model = build_model("benchmark")
+    X = np.random.default_rng(3).uniform(-1.0, 1.0, size=(2051, model.n_inputs))
+    w = np.linspace(-1.0, 1.0, model.n_weights)
+    batch = probabilities_batch(model, X, w)
+    singles = [np.abs(simulate(model.circuit, x, w).amps) ** 2 for x in X]
+    np.testing.assert_array_equal(batch, np.array(singles))
 
 
 # --------------------------------------------------------------------------
