@@ -288,9 +288,13 @@ def bind(circuit: Circuit, inputs, weights) -> tuple[BoundGate, ...]:
     """
     inputs = np.asarray(inputs, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if inputs.ndim not in (1, 2) or inputs.shape[-1] != circuit.input_arity:
+    if inputs.ndim not in (1, 2):
         raise UsageError(
-            f"circuit needs {circuit.input_arity} inputs per row, got shape {inputs.shape}"
+            f"inputs must be one row or a batch of rows, got {inputs.ndim} dimensions"
+        )
+    if inputs.shape[-1] != circuit.input_arity:
+        raise UsageError(
+            f"circuit needs {circuit.input_arity} inputs per row, got {inputs.shape[-1]}"
         )
     if weights.shape != (circuit.weight_arity,):
         raise UsageError(

@@ -20,11 +20,13 @@ Classification set (2 features, labels {0, 1}):
 
 CSV format: one header line ``# generator=<name> seed=<s> kind=<k>``
 followed by ``x0,...,target`` rows; '.' decimal separator, LF endings,
-floats written with ``repr`` for lossless round-trips.
+floats written with ``repr`` for lossless round-trips.  Every value must
+be finite: ``load_csv`` rejects ``nan`` and ``inf`` with the line number.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -288,6 +290,8 @@ def load_csv(path) -> Dataset:
                 target = float(cells[-1])
             except ValueError as exc:
                 raise DataFormatError(str(exc), line_number=number) from None
+        if not all(map(math.isfinite, features + (target,))):
+            raise DataFormatError(f"non-finite value in {line!r}", line_number=number)
         samples.append(Sample(features, target))
     if not samples:
         raise DataFormatError("no data rows", line_number=1)

@@ -1,16 +1,22 @@
 """Three minimizers behind one contract, plus the parameter-shift gradient.
 
+Each optimizer runs one fixed schedule, set by the constants below;
+only ``kind``, ``max_iters`` and ``seed`` vary between runs.
+
 * ``cobyla`` — Powell's derivative-free linear-approximation trust
-  region method (via scipy), trust radius shrinking from ``rho_begin``
-  to ``rho_end``.  May stop before ``max_iters``; the loss trace then
-  simply ends early (nothing is padded).
+  region method (via scipy, imported on first use), trust radius
+  shrinking from ``RHO_BEGIN`` to ``RHO_END``.  May stop before
+  ``max_iters``; the loss trace then simply ends early (nothing is
+  padded).
 * ``spsa`` — simultaneous perturbation stochastic approximation with
   the standard gain schedules a_k = a/(k+1+A)^0.602 and
   c_k = c/(k+1)^0.101 and Rademacher +-1 perturbations from a seeded
-  generator.  By default the numerator ``a`` is calibrated from the
-  objective itself (see ``OptimizerConfig.spsa_a``).
+  generator.  The numerator ``a`` is calibrated from the objective
+  itself: the mean magnitude of ``SPSA_CALIBRATION_SAMPLES``
+  perturbation-pair slopes at w0 sets ``a`` so the expected first step
+  is about ``SPSA_TARGET_STEP``.
 * ``aqgd`` — plain gradient descent on the analytic parameter-shift
-  gradient; optional momentum, off by default.
+  gradient, step ``LEARNING_RATE``.
 
 Every run returns a ``TrainTrace``: one incumbent loss per iteration
 (COBYLA: best-so-far at each trust-region step; SPSA/AQGD: loss at the
@@ -28,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize as scipy_minimize
 
 from . import qnn
 from .circuit import Weight, _collect_indices
@@ -44,6 +49,19 @@ SPSA = "spsa"
 AQGD = "aqgd"
 OPTIMIZER_NAMES = (COBYLA, SPSA, AQGD)
 
+# aqgd
+LEARNING_RATE = 0.4
+# spsa (Spall 1998)
+SPSA_C = 0.1
+SPSA_STABILITY = 10.0
+SPSA_ALPHA = 0.602
+SPSA_GAMMA = 0.101
+SPSA_CALIBRATION_SAMPLES = 20
+SPSA_TARGET_STEP = 2.0 * math.pi / 10.0
+# cobyla (Powell 1994)
+RHO_BEGIN = 1.0
+RHO_END = 1e-4
+
 
 @dataclass(frozen=True)
 class Objective:
@@ -56,32 +74,11 @@ class Objective:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Which optimizer to run and its hyperparameters.
-
-    ``spsa_a = None`` (the default) calibrates the gain numerator from
-    the objective before iterating: the mean magnitude of
-    ``spsa_calibration_samples`` perturbation-pair slopes at w0 sets
-    ``a`` so the expected first step is about ``spsa_target_step``.
-    Pass an explicit ``spsa_a`` to pin the schedule instead.
-    """
+    """Which optimizer to run, for how many iterations, from which seed."""
 
     kind: str
     max_iters: int = 100
     seed: int = 0
-    # aqgd
-    learning_rate: float = 0.4
-    momentum: float = 0.0
-    # spsa
-    spsa_a: float | None = None
-    spsa_c: float = 0.1
-    spsa_stability: float = 10.0
-    spsa_alpha: float = 0.602
-    spsa_gamma: float = 0.101
-    spsa_calibration_samples: int = 20
-    spsa_target_step: float = 2.0 * math.pi / 10.0
-    # cobyla
-    rho_begin: float = 1.0
-    rho_end: float = 1e-4
 
     def __post_init__(self):
         if self.kind not in OPTIMIZER_NAMES:
@@ -90,10 +87,6 @@ class OptimizerConfig:
             )
         if self.max_iters < 1:
             raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
-        if self.spsa_c <= 0:
-            raise ConfigurationError("spsa_c must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,17 +105,19 @@ class TrainTrace:
 
 
 class _Counted:
-    """Wrap an objective: count calls and refuse non-finite values."""
+    """Wrap an objective: count calls, track the best value, refuse non-finite ones."""
 
     def __init__(self, fun):
         self._fun = fun
         self.calls = 0
+        self.best = math.inf
 
     def __call__(self, w: np.ndarray) -> float:
         value = float(self._fun(w))
         self.calls += 1
         if not math.isfinite(value):
             raise NonFiniteLossError(value, np.asarray(w, dtype=float).copy())
+        self.best = min(self.best, value)
         return value
 
 
@@ -147,65 +142,53 @@ def minimize(objective: Objective, w0, config: OptimizerConfig) -> TrainTrace:
 
 
 def _minimize_cobyla(fun: _Counted, w0: np.ndarray, config: OptimizerConfig) -> TrainTrace:
-    cache: dict[bytes, float] = {}
+    """COBYLA with an evaluation budget of ``max(max_iters, dim + 2)``.
 
-    def wrapped(w):
-        w = np.asarray(w, dtype=float)
-        value = fun(w)
-        cache[w.tobytes()] = value
-        return value
+    Below ``dim + 2`` COBYLA cannot finish its first simplex, so
+    ``evaluations`` may exceed ``max_iters``; the trace never does.  A
+    run that ends before its first trust-region step records the best
+    value of its simplex.
+    """
+    from scipy.optimize import minimize as scipy_minimize
 
+    # Each trust-region step reports COBYLA's best point so far; its value
+    # is the running minimum that ``fun`` already holds.
     incumbents: list[float] = []
-
-    def on_step(xk):
-        # Each trust-region step reports a point COBYLA already evaluated;
-        # record the best value seen so far as the incumbent.
-        value = cache.get(np.asarray(xk, dtype=float).tobytes())
-        if value is None:
-            value = wrapped(xk)
-        best = min(incumbents[-1], value) if incumbents else value
-        incumbents.append(best)
-
     result = scipy_minimize(
-        wrapped,
+        fun,
         w0,
         method="COBYLA",
-        callback=on_step,
+        callback=lambda xk: incumbents.append(fun.best),
         options={
-            "rhobeg": config.rho_begin,
-            "tol": config.rho_end,
-            "maxiter": config.max_iters,
+            "rhobeg": RHO_BEGIN,
+            "tol": RHO_END,
+            "maxiter": max(config.max_iters, len(w0) + 2),
         },
     )
-    if not incumbents:
-        incumbents.append(wrapped(result.x))
-    losses = np.array(incumbents[: config.max_iters])
+    losses = np.array((incumbents or [fun.best])[: config.max_iters])
     return TrainTrace(losses, np.asarray(result.x, dtype=float), fun.calls)
 
 
 def _minimize_spsa(fun: _Counted, w0: np.ndarray, config: OptimizerConfig) -> TrainTrace:
     rng = np.random.default_rng(config.seed)
     m = len(w0)
-    c = config.spsa_c
-    stability = config.spsa_stability
-    a = config.spsa_a
 
     def rademacher() -> np.ndarray:
         return rng.integers(0, 2, size=m) * 2.0 - 1.0
 
-    if a is None:
-        slopes = []
-        for _ in range(config.spsa_calibration_samples):
-            delta = rademacher()
-            slopes.append(abs(fun(w0 + c * delta) - fun(w0 - c * delta)) / (2.0 * c))
-        mean_slope = max(float(np.mean(slopes)), 1e-10)
-        a = config.spsa_target_step / mean_slope * (stability + 1.0) ** config.spsa_alpha
+    slopes = []
+    for _ in range(SPSA_CALIBRATION_SAMPLES):
+        delta = rademacher()
+        diff = fun(w0 + SPSA_C * delta) - fun(w0 - SPSA_C * delta)
+        slopes.append(abs(diff) / (2.0 * SPSA_C))
+    mean_slope = max(float(np.mean(slopes)), 1e-10)
+    a = SPSA_TARGET_STEP / mean_slope * (SPSA_STABILITY + 1.0) ** SPSA_ALPHA
 
     w = w0.copy()
     losses = []
     for k in range(config.max_iters):
-        a_k = a / (k + 1 + stability) ** config.spsa_alpha
-        c_k = c / (k + 1) ** config.spsa_gamma
+        a_k = a / (k + 1 + SPSA_STABILITY) ** SPSA_ALPHA
+        c_k = SPSA_C / (k + 1) ** SPSA_GAMMA
         delta = rademacher()
         diff = fun(w + c_k * delta) - fun(w - c_k * delta)
         gradient_estimate = diff / (2.0 * c_k) * delta  # 1/delta_i == delta_i
@@ -220,17 +203,12 @@ def _minimize_aqgd(
     if objective.grad is None:
         raise UsageError("aqgd needs an objective with an analytic gradient")
     w = w0.copy()
-    velocity = np.zeros_like(w)
     losses = []
-    grad_calls = 0
     for _ in range(config.max_iters):
-        gradient = np.asarray(objective.grad(w), dtype=float)
-        grad_calls += 1
-        velocity = config.momentum * velocity - config.learning_rate * gradient
-        w = w + velocity
+        w = w - LEARNING_RATE * np.asarray(objective.grad(w), dtype=float)
         losses.append(fun(w))
     # Each analytic gradient costs two shifted circuit passes per weight.
-    evaluations = fun.calls + 2 * objective.dim * grad_calls
+    evaluations = fun.calls + 2 * objective.dim * config.max_iters
     return TrainTrace(np.array(losses), w, evaluations)
 
 

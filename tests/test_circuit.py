@@ -26,7 +26,7 @@ from eqnn.circuit import (
     gate_count,
 )
 from eqnn.errors import ConfigurationError, UsageError
-from eqnn.qnn import simulate
+from eqnn.qnn import build_model, probabilities_batch, simulate
 
 
 # --------------------------------------------------------------------------
@@ -159,10 +159,17 @@ def test_bind_requires_exact_arity():
         bind(build_real_amplitudes(2, 1), [], [0.1, 0.2, 0.3])
     with pytest.raises(UsageError):
         bind(circuit, np.zeros((3, 1)), [])
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="got 3 dimensions"):
         bind(circuit, np.zeros((2, 3, 2)), [])
     with pytest.raises(UsageError):
         bind(build_real_amplitudes(2, 1), np.zeros((3, 0)), np.zeros((1, 4)))
+    # A batch larger than one evaluation block: the message names the
+    # per-row width, not the shape of whichever block reached bind.
+    model = build_model("eqnn3")
+    with pytest.raises(UsageError) as info:
+        probabilities_batch(model, np.zeros((5000, 3)), np.zeros(model.n_weights))
+    assert "got 3" in str(info.value)
+    assert "1024" not in str(info.value) and "5000" not in str(info.value)
     bound = bind(circuit, [0.2, 0.9], [])
     assert all(
         (g.angle is None) == (g.name in ("h", "cnot")) for g in bound

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqnn.data import (
     Dataset,
@@ -305,3 +307,37 @@ def test_csv_blank_lines_are_ignored(tmp_path):
     path.write_text("# generator=toy seed=0 kind=regression\n0.1,0.2\n\n0.3,0.4\n\n")
     ds = load_csv(path)
     assert len(ds) == 2
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_csv_round_trips_finite_values_and_rejects_non_finite(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "property.csv"
+    kind = data.draw(st.sampled_from(["regression", "classification"]))
+    width = data.draw(st.integers(1, 3))
+    target = FINITE if kind == "regression" else st.integers(0, 1)
+    rows = data.draw(
+        st.lists(st.tuples(st.lists(FINITE, min_size=width, max_size=width), target),
+                 min_size=1, max_size=8)
+    )
+    ds = Dataset(tuple(Sample(tuple(x), y) for x, y in rows), kind, "toy", 0)
+    save_csv(ds, path)
+    back = load_csv(path)
+    assert back == ds
+    assert back.features_array().tobytes() == ds.features_array().tobytes()
+    assert back.targets_array().tobytes() == ds.targets_array().tobytes()
+
+    # Poison one cell (a label can only be 0/1, so only features there).
+    row = data.draw(st.integers(0, len(rows) - 1))
+    column = data.draw(st.integers(0, width if kind == "regression" else width - 1))
+    cells = list(rows[row][0]) + [rows[row][1]]
+    cells[column] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    samples = list(ds.samples)
+    samples[row] = Sample(tuple(cells[:-1]), cells[-1])
+    save_csv(Dataset(tuple(samples), kind, "toy", 0), path)
+    with pytest.raises(DataFormatError) as info:
+        load_csv(path)
+    assert info.value.line_number == row + 2
