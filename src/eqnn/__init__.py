@@ -9,23 +9,13 @@ generators, and a CLI that bundles them into reproducible experiments.
 __version__ = "0.1.0"
 
 from .circuit import (
-    BoundGate,
     Circuit,
-    Const,
     Gate,
     Input,
-    Sum,
-    Product,
     Weight,
-    bind,
     build_benchmark_feature_map,
     build_efm,
     build_real_amplitudes,
-    concat,
-    diagram,
-    evaluate,
-    expr_str,
-    gate_count,
 )
 from .data import (
     Dataset,
@@ -36,7 +26,6 @@ from .data import (
     gen_two_class_usage,
     load_csv,
     normalize_minmax,
-    denormalize_minmax,
     save_csv,
     split_dataset,
 )
@@ -68,25 +57,10 @@ from .qnn import (
     decide,
     forward,
     gate_summary,
-    loss,
-    predict_class,
     predict_probs,
     predict_regression,
     probabilities_batch,
     simplified_model,
     simulate,
 )
-from .statevector import (
-    Hadamard,
-    Phase,
-    RY,
-    StateVector,
-    apply_cnot,
-    apply_single,
-    kernel_cnot,
-    kernel_h,
-    kernel_phase,
-    kernel_ry,
-    probabilities,
-    zero_state,
-)
+from .statevector import StateVector

@@ -139,10 +139,6 @@ def _collect_indices(expr: Expr, cls) -> set[int]:
     return set()
 
 
-def _arity(indices: set[int]) -> int:
-    return max(indices) + 1 if indices else 0
-
-
 def expr_str(expr: Expr) -> str:
     """Deterministic human-readable rendering, e.g. ``2.0*x0 - 1.5``."""
     if isinstance(expr, Const):
@@ -233,27 +229,20 @@ class Circuit:
                 f"{gate.name} gate {'takes no' if gate.angle is not None else 'needs an'} angle"
             )
 
+    def _arity(self, cls) -> int:
+        """One more than the largest ``cls`` index in any angle; 0 if none."""
+        indices = set().union(
+            *(_collect_indices(g.angle, cls) for g in self.gates if g.angle)
+        )
+        return max(indices) + 1 if indices else 0
+
     @cached_property
     def input_arity(self) -> int:
-        return _arity(
-            set().union(
-                *(_collect_indices(g.angle, Input) for g in self.gates if g.angle),
-                set(),
-            )
-        )
+        return self._arity(Input)
 
     @cached_property
     def weight_arity(self) -> int:
-        return _arity(
-            set().union(
-                *(_collect_indices(g.angle, Weight) for g in self.gates if g.angle),
-                set(),
-            )
-        )
-
-
-def gate_count(circuit: Circuit) -> int:
-    return len(circuit.gates)
+        return self._arity(Weight)
 
 
 def concat(first: Circuit, second: Circuit) -> Circuit:
@@ -315,10 +304,8 @@ def bind(circuit: Circuit, inputs, weights) -> tuple[BoundGate, ...]:
 # Builders
 
 
-def build_benchmark_feature_map(n_qubits: int = 2) -> Circuit:
+def build_benchmark_feature_map() -> Circuit:
     """ZZ-style two-qubit encoder: H layer, per-qubit phases, pair phase."""
-    if n_qubits != 2:
-        raise ConfigurationError("build_benchmark_feature_map is defined for 2 qubits")
     x0, x1 = Input(0), Input(1)
     pi = Const(math.pi)
     return Circuit(
@@ -335,7 +322,7 @@ def build_benchmark_feature_map(n_qubits: int = 2) -> Circuit:
     )
 
 
-def build_efm(n_qubits: int = 2, rescale: str = "default") -> Circuit:
+def build_efm(rescale: str = "default") -> Circuit:
     """Economical two-qubit encoder: H layer, rescaled-input RY layer, one CNOT.
 
     ``rescale`` picks the affine map applied to each input before it
@@ -343,8 +330,6 @@ def build_efm(n_qubits: int = 2, rescale: str = "default") -> Circuit:
     ``"wide"`` uses ``3*x - 1.5`` (a larger angular spread for inputs
     in [0, 1]).
     """
-    if n_qubits != 2:
-        raise ConfigurationError("build_efm is defined for 2 qubits")
     scales = {"default": 2.0, "wide": 3.0}
     if rescale not in scales:
         raise UsageError(f"unknown rescale {rescale!r}; expected one of {sorted(scales)}")
@@ -414,7 +399,7 @@ def circuit_to_dict(circuit: Circuit) -> dict:
     """JSON-friendly description with symbolic angle strings."""
     return {
         "n_qubits": circuit.n_qubits,
-        "gate_count": gate_count(circuit),
+        "gate_count": len(circuit.gates),
         "gates": [
             {
                 "gate": g.name,

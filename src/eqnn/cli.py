@@ -13,8 +13,10 @@ Four commands:
 Conventions: every report is JSON with a ``"schema": 1`` marker and
 sorted keys; files are written atomically (temp + rename); reruns with
 the same flags and seed are byte-identical except for the
-``wall_time_s`` field.  Exit codes: 0 ok, 1 runtime/I-O failure,
-2 usage error.  ``EQNN_SEED`` provides the default seed.
+``wall_time_s`` field, which is the wall time of the whole command,
+first-use imports included: the first COBYLA run in a process also pays
+for importing ``scipy.optimize``.  Exit codes: 0 ok, 1 runtime/I-O
+failure, 2 usage error.  ``EQNN_SEED`` provides the default seed.
 """
 
 from __future__ import annotations
@@ -53,10 +55,10 @@ from .qnn import (
     MODEL_NAMES,
     SQUARED_ERROR,
     QnnModel,
-    _decide,
     accuracy,
     batch_loss,
     build_model,
+    decide,
     gate_summary,
     predict_probs,
     predict_regression,
@@ -92,19 +94,14 @@ def _friendly_errors(f):
     return wrapper
 
 
-def _atomic_write(path: str, text: str):
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    _write_atomic(path, text)
-
-
 def _write_json(path: str, payload: dict):
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_loss_csv(path: str, losses):
     lines = ["iteration,loss"]
     lines += [f"{i},{repr(float(v))}" for i, v in enumerate(losses, start=1)]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _report(model: QnnModel, optimizer: str, seed: int, trace, final_loss: float) -> dict:
@@ -140,7 +137,7 @@ def _sampled_accuracy(model: QnnModel, w, dataset: Dataset, shots: int, seed: in
     rng = np.random.default_rng(seed)
     p_even = np.clip(predict_probs(model, dataset.features_array(), w)[:, 0], 0.0, 1.0)
     sampled_even = rng.binomial(shots, p_even) / shots
-    predicted = _decide(sampled_even, 1.0 - sampled_even)
+    predicted = decide(sampled_even, 1.0 - sampled_even)
     return float(np.mean(predicted == dataset.targets_array().astype(int)))
 
 
@@ -220,7 +217,7 @@ def cmd_fit_activation(target: str, optimizer: str, iters: int, n_samples: int,
         f"{repr(float(x[i, 0]))},{repr(float(y_true[i]))},{repr(float(y_pred[i]))}"
         for i in order
     ]
-    _atomic_write(f"{prefix}_fit.csv", "\n".join(lines) + "\n")
+    _write_atomic(f"{prefix}_fit.csv", "\n".join(lines) + "\n")
 
     report = _report(model, optimizer, seed, trace, final_mse)
     report["target"] = target
@@ -326,7 +323,6 @@ def cmd_train(model_name: str, optimizer: str, iters: int, data_path: str | None
 @_friendly_errors
 def cmd_reproduce(seed: int, iters: int, out_dir: str):
     """Run every experiment and drop all artifacts into one directory."""
-    os.makedirs(out_dir, exist_ok=True)
     path = functools.partial(os.path.join, out_dir)
 
     models = {name: build_model(name) for name in MODEL_NAMES}
@@ -394,7 +390,7 @@ def cmd_reproduce(seed: int, iters: int, out_dir: str):
     ]
     for target, mse, weight in fit_rows:
         lines.append(f"| {target} | {mse:.6g} | {weight:.8f} |")
-    _atomic_write(path("summary.md"), "\n".join(lines) + "\n")
+    _write_atomic(path("summary.md"), "\n".join(lines) + "\n")
     click.echo(f"summary -> {path('summary.md')}")
 
 

@@ -144,16 +144,11 @@ def gen_two_class_usage(per_class: int = 500, seed: int = 0) -> Dataset:
         for m, e, label in zip(mids, ends, [0] * per_class + [1] * per_class)
     )
     raw = Dataset(samples, CLASSIFICATION_KIND, "two_class_usage", seed)
-    normalized, _ = normalize_minmax(raw)
-    return normalized
+    return normalize_minmax(raw)
 
 
-def normalize_minmax(dataset: Dataset) -> tuple[Dataset, tuple[tuple[float, float], ...]]:
-    """Map each feature to [0, 1]; returns the (min, max) per feature.
-
-    The bounds are what inference-time code needs to normalize new
-    points the same way; feed them to ``denormalize_minmax`` to invert.
-    """
+def normalize_minmax(dataset: Dataset) -> Dataset:
+    """Map each feature linearly onto [0, 1] by its min and max."""
     if len(dataset) == 0:
         raise UsageError("dataset is empty")
     values = dataset.features_array()
@@ -168,16 +163,7 @@ def normalize_minmax(dataset: Dataset) -> tuple[Dataset, tuple[tuple[float, floa
         Sample(tuple(float(v) for v in row), s.target)
         for row, s in zip(scaled, dataset.samples)
     )
-    bounds = tuple((float(a), float(b)) for a, b in zip(lo, hi))
-    return Dataset(samples, dataset.kind, dataset.generator, dataset.seed), bounds
-
-
-def denormalize_minmax(features, bounds) -> np.ndarray:
-    """Invert ``normalize_minmax`` given its returned bounds."""
-    features = np.asarray(features, dtype=float)
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    return features * (hi - lo) + lo
+    return Dataset(samples, dataset.kind, dataset.generator, dataset.seed)
 
 
 def split_dataset(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -218,8 +204,12 @@ def save_csv(dataset: Dataset, path):
 
 
 def _write_atomic(path, text: str):
-    """Write ``text`` with LF endings via a temp file renamed over ``path``."""
+    """Write ``text`` with LF endings via a temp file renamed over ``path``.
+
+    Missing parent directories are created first.
+    """
     directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:

@@ -21,7 +21,7 @@ only ``kind``, ``max_iters`` and ``seed`` vary between runs.
 Every run returns a ``TrainTrace``: one incumbent loss per iteration
 (COBYLA: best-so-far at each trust-region step; SPSA/AQGD: loss at the
 updated weights), the final weights, and an honest evaluation count —
-for AQGD each gradient costs 2m objective-equivalent circuit passes.
+for AQGD each gradient costs 2m+1 objective-equivalent circuit passes.
 
 A non-finite objective value aborts the run immediately with the
 offending weights attached to the exception.
@@ -207,8 +207,8 @@ def _minimize_aqgd(
     for _ in range(config.max_iters):
         w = w - LEARNING_RATE * np.asarray(objective.grad(w), dtype=float)
         losses.append(fun(w))
-    # Each analytic gradient costs two shifted circuit passes per weight.
-    evaluations = fun.calls + 2 * objective.dim * config.max_iters
+    # Each analytic gradient costs one base pass plus two shifted passes per weight.
+    evaluations = fun.calls + (2 * objective.dim + 1) * config.max_iters
     return TrainTrace(np.array(losses), w, evaluations)
 
 

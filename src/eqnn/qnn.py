@@ -19,7 +19,7 @@ the circuit (one row or a ``(batch, n_inputs)`` batch) and applies the
 gates in order, so one call evaluates a whole dataset (in blocks of rows)
 and a batch row is identical to one-at-a-time simulation.  Every loss
 goes through one core, ``_fitted``, which gives the per-row value the
-loss is taken of.
+loss is taken of, and every class decision through ``decide``.
 Batch means use ``np.mean`` (pairwise summation) as the one documented
 reduction order.
 """
@@ -41,7 +41,6 @@ from .circuit import (
     build_efm,
     build_real_amplitudes,
     concat,
-    gate_count,
 )
 from .errors import UsageError
 from .statevector import StateVector, _apply
@@ -203,31 +202,6 @@ def forward(model: QnnModel, x, w) -> Regression | ClassProbs:
 # Losses and metrics
 
 
-def loss(pred, target, kind: str) -> float:
-    """Per-sample loss.
-
-    ``squared_error`` pairs a ``Regression`` prediction with a real
-    target; ``cross_entropy`` pairs a ``ClassProbs`` prediction with a
-    target probability pair (one-hot for hard labels), natural log,
-    probabilities clamped at 1e-12.
-    """
-    if kind == SQUARED_ERROR:
-        if not isinstance(pred, Regression):
-            raise UsageError("squared_error needs a Regression prediction")
-        return float((pred.y - float(target)) ** 2)
-    if kind == CROSS_ENTROPY:
-        if not isinstance(pred, ClassProbs):
-            raise UsageError("cross_entropy needs a ClassProbs prediction")
-        t0, t1 = target
-        return float(
-            -(
-                t0 * np.log(max(pred.p0, PROB_EPS))
-                + t1 * np.log(max(pred.p1, PROB_EPS))
-            )
-        )
-    raise UsageError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
-
-
 def _check_pairing(model: QnnModel, dataset, kind: str):
     if len(dataset) == 0:
         raise UsageError("dataset is empty")
@@ -255,7 +229,12 @@ def _fitted(model: QnnModel, X, w, targets: np.ndarray, kind: str) -> np.ndarray
 
 
 def batch_loss(model: QnnModel, w, dataset, kind: str) -> float:
-    """Arithmetic mean of per-sample losses over a dataset."""
+    """Arithmetic mean of per-sample losses over a dataset.
+
+    ``squared_error`` is (y' - target)^2 for a regression head;
+    ``cross_entropy`` is -log P(label) for a parity head, natural log,
+    with P(label) clamped at ``PROB_EPS``.
+    """
     _check_pairing(model, dataset, kind)
     targets = dataset.targets_array()
     fitted = _fitted(model, dataset.features_array(), w, targets, kind)
@@ -264,22 +243,9 @@ def batch_loss(model: QnnModel, w, dataset, kind: str) -> float:
     return float(np.mean(-np.log(np.maximum(fitted, PROB_EPS))))
 
 
-def _decide(p0, p1):
-    """The hard decision rule on probabilities (or arrays of them): tie -> 0."""
+def decide(p0, p1):
+    """The hard decision rule on probabilities or arrays of them: tie -> class 0."""
     return (np.asarray(p1) > p0).astype(int)
-
-
-def decide(probs: ClassProbs) -> int:
-    """Hard decision rule; an exact tie resolves to class 0."""
-    return int(_decide(probs.p0, probs.p1))
-
-
-def predict_class(model: QnnModel, x, w) -> int:
-    """Class of a single input under the tie-goes-to-0 decision rule."""
-    pred = forward(model, x, w)
-    if not isinstance(pred, ClassProbs):
-        raise UsageError(f"model {model.name} has no class output")
-    return decide(pred)
 
 
 def accuracy(model: QnnModel, w, dataset) -> float:
@@ -289,11 +255,11 @@ def accuracy(model: QnnModel, w, dataset) -> float:
     if model.head != PARITY or dataset.kind != "classification":
         raise UsageError("accuracy needs a parity-head model and labeled classes")
     probs = predict_probs(model, dataset.features_array(), w)
-    predicted = _decide(probs[:, 0], probs[:, 1])
+    predicted = decide(probs[:, 0], probs[:, 1])
     return float(np.mean(predicted == dataset.targets_array().astype(int)))
 
 
 def gate_summary(model: QnnModel) -> dict:
     """Feature-map / variational / total gate counts."""
-    fm, var = gate_count(model.feature_map), gate_count(model.variational)
+    fm, var = len(model.feature_map.gates), len(model.variational.gates)
     return {"feature_map": fm, "variational": var, "total": fm + var}

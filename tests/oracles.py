@@ -104,3 +104,16 @@ def grid_min_mse(features: np.ndarray, targets: np.ndarray, points: int = 20000)
     w = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
     pred = -np.sin(features[None, :] + w[:, None])
     return float(np.mean((pred - targets[None, :]) ** 2, axis=1).min())
+
+
+def per_row_loss(pred, target, kind: str) -> float:
+    """One row's loss from a ``forward`` output, by the textbook formula.
+
+    ``squared_error``: (y' - target)^2 for a regression output.
+    ``cross_entropy``: -ln P(target class), P clamped at 1e-12, for a
+    class-probability output.
+    """
+    if kind == "squared_error":
+        return (pred.y - target) ** 2
+    p_label = pred.p1 if target == 1 else pred.p0
+    return -float(np.log(max(p_label, 1e-12)))

@@ -23,7 +23,6 @@ from eqnn.circuit import (
     diagram,
     evaluate,
     expr_str,
-    gate_count,
 )
 from eqnn.errors import ConfigurationError, UsageError
 from eqnn.qnn import build_model, probabilities_batch, simulate
@@ -81,14 +80,12 @@ def test_circuit_rejects_malformed_gates():
 
 def test_benchmark_feature_map_structure():
     circuit = build_benchmark_feature_map()
-    assert gate_count(circuit) == 7
+    assert len(circuit.gates) == 7
     assert [g.name for g in circuit.gates] == [
         "h", "h", "phase", "phase", "cnot", "phase", "cnot",
     ]
     assert circuit.input_arity == 2
     assert circuit.weight_arity == 0
-    with pytest.raises(ConfigurationError):
-        build_benchmark_feature_map(3)
 
 
 def test_benchmark_bound_angles():
@@ -101,7 +98,7 @@ def test_benchmark_bound_angles():
 
 def test_efm_structure_and_angles():
     circuit = build_efm()
-    assert gate_count(circuit) == 5
+    assert len(circuit.gates) == 5
     assert [g.name for g in circuit.gates] == ["h", "h", "ry", "ry", "cnot"]
     bound = bind(circuit, [0.75, 0.5], [])
     assert bound[2].angle == pytest.approx(0.0)
@@ -111,14 +108,12 @@ def test_efm_structure_and_angles():
     assert wide[3].angle == pytest.approx(1.5)
     with pytest.raises(UsageError):
         build_efm(rescale="narrow")
-    with pytest.raises(ConfigurationError):
-        build_efm(1)
 
 
 @pytest.mark.parametrize("reps,gates,weights", [(0, 2, 2), (1, 5, 4), (2, 8, 6), (3, 11, 8)])
 def test_real_amplitudes_counts(reps, gates, weights):
     circuit = build_real_amplitudes(2, reps)
-    assert gate_count(circuit) == gates
+    assert len(circuit.gates) == gates
     assert circuit.weight_arity == weights
     assert circuit.input_arity == 0
 
@@ -136,7 +131,7 @@ def test_real_amplitudes_weight_placement_layer_major_qubit_minor():
 def test_concat_appends_and_checks_width():
     fm, ansatz = build_efm(), build_real_amplitudes(2, 1)
     joined = concat(fm, ansatz)
-    assert gate_count(joined) == 10
+    assert len(joined.gates) == 10
     assert joined.gates[:5] == fm.gates and joined.gates[5:] == ansatz.gates
     with pytest.raises(UsageError):
         concat(fm, build_real_amplitudes(3, 1))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from eqnn.data import (
     Dataset,
     Sample,
-    denormalize_minmax,
     gen_linear,
     gen_sigmoid,
     gen_tanh,
@@ -147,9 +146,8 @@ def test_normalize_minmax_simple_column():
         "toy",
         0,
     )
-    scaled, bounds = normalize_minmax(ds)
+    scaled = normalize_minmax(ds)
     np.testing.assert_allclose(scaled.features_array()[:, 0], [0.0, 0.5, 1.0])
-    assert bounds == ((2.0, 6.0),)
     assert scaled.targets_array().tolist() == [0.0, 0.0, 0.0]
 
 
@@ -157,9 +155,8 @@ def test_normalize_minmax_is_idempotent_on_unit_range():
     ds = Dataset(
         (Sample((0.0, 1.0), 0), Sample((1.0, 0.0), 1)), "classification", "toy", 0
     )
-    scaled, bounds = normalize_minmax(ds)
+    scaled = normalize_minmax(ds)
     np.testing.assert_array_equal(scaled.features_array(), ds.features_array())
-    assert bounds == ((0.0, 1.0), (0.0, 1.0))
 
 
 def test_normalize_minmax_rejects_constant_feature():
@@ -167,19 +164,6 @@ def test_normalize_minmax_rejects_constant_feature():
     with pytest.raises(DegenerateRangeError) as info:
         normalize_minmax(ds)
     assert "0" in str(info.value)
-
-
-def test_denormalize_round_trips():
-    ds = gen_two_class_usage(per_class=25, seed=3)
-    rng = np.random.default_rng(3)
-    raw = rng.uniform(0.5, 12.0, (40, 2))
-    base = Dataset(
-        tuple(Sample((float(a), float(b)), 0.0) for a, b in raw), "regression", "toy", 0
-    )
-    scaled, bounds = normalize_minmax(base)
-    back = denormalize_minmax(scaled.features_array(), bounds)
-    np.testing.assert_allclose(back, raw, atol=1e-12)
-    del ds
 
 
 def test_split_sizes_disjointness_and_determinism():

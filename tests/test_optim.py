@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from eqnn import qnn
 from eqnn.circuit import Circuit, Gate, Input, Weight
 from eqnn.data import Dataset, Sample, gen_linear, gen_two_class_usage
 from eqnn.errors import (
@@ -205,8 +206,27 @@ def test_aqgd_quadratic_converges_monotonically():
     assert trace.final_loss < 1e-6
     assert np.all(np.diff(trace.losses) <= 0)
     assert trace.iterations == 100
-    # one objective call per iteration plus 2*dim gradient-equivalent passes
-    assert trace.evaluations == 100 * (2 * 4 + 1)
+    # one objective call per iteration plus 2*dim+1 gradient-equivalent passes
+    assert trace.evaluations == 100 * (2 * 4 + 2)
+
+
+@pytest.mark.parametrize("kind", ["cobyla", "spsa", "aqgd"])
+def test_reported_evaluations_equal_dataset_passes(monkeypatch, kind):
+    # 20 rows fit one block, so each dataset pass is one probabilities_batch call.
+    passes = []
+    original = qnn.probabilities_batch
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qnn, "probabilities_batch", counted)
+    model = build_model("eqnn1")
+    dataset = gen_two_class_usage(per_class=10, seed=4)
+    objective = make_objective(model, dataset, CROSS_ENTROPY)
+    w0 = initial_weights(model.n_weights, seed=4)
+    trace = minimize(objective, w0, OptimizerConfig(kind=kind, max_iters=5, seed=4))
+    assert len(passes) == trace.evaluations
 
 
 def test_aqgd_requires_gradient():

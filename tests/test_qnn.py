@@ -13,20 +13,16 @@ from eqnn.errors import UsageError
 from eqnn.qnn import (
     CROSS_ENTROPY,
     PARITY,
-    REGRESSION,
+    PROB_EPS,
     SQUARED_ERROR,
-    ClassProbs,
     QnnModel,
-    Regression,
     accuracy,
     batch_loss,
     build_model,
     decide,
     forward,
     gate_summary,
-    loss,
     parity_signs,
-    predict_class,
     predict_probs,
     predict_regression,
     probabilities_batch,
@@ -40,6 +36,21 @@ ALL_NAMED = ("benchmark", "eqnn1", "eqnn2", "eqnn3")
 def tiny_class_set(points):
     samples = tuple(Sample((float(a), float(b)), int(y)) for a, b, y in points)
     return Dataset(samples, "classification", "toy", 0)
+
+
+def one_row(features, target, kind):
+    return Dataset((Sample(tuple(features), target),), kind, "toy", 0)
+
+
+def ry_parity_model():
+    """1 qubit, RY(x) then RY(w), parity head: at x = w = 0 the state is |0> exactly."""
+    feature_map = Circuit(1, (Gate("ry", (0,), Input(0)),))
+    variational = Circuit(1, (Gate("ry", (0,), Weight(0)),))
+    return QnnModel("ry-parity", feature_map, variational, PARITY)
+
+
+def predicted_class(model, x, w):
+    return decide(*predict_probs(model, [x], w)[0])
 
 
 # --------------------------------------------------------------------------
@@ -212,36 +223,35 @@ def test_batch_walked_in_blocks_equals_single_state_simulation():
 
 
 def test_squared_error_examples():
-    assert loss(Regression(0.5), 0.5, SQUARED_ERROR) == 0.0
-    assert loss(Regression(0.25), -0.25, SQUARED_ERROR) == pytest.approx(0.25)
+    model, w = simplified_model(), np.array([0.7])
+    y = forward(model, [0.3], w).y
+    assert batch_loss(model, w, one_row([0.3], y, "regression"), SQUARED_ERROR) == 0.0
+    off = one_row([0.3], y - 0.5, "regression")
+    assert batch_loss(model, w, off, SQUARED_ERROR) == pytest.approx(0.25)
 
 
 def test_cross_entropy_examples():
-    assert loss(ClassProbs(1.0, 0.0), (1.0, 0.0), CROSS_ENTROPY) == pytest.approx(0.0)
-    assert loss(ClassProbs(0.5, 0.5), (0.5, 0.5), CROSS_ENTROPY) == pytest.approx(
+    model, w = ry_parity_model(), np.array([0.0])
+    certain = one_row([0.0], 0, "classification")
+    assert batch_loss(model, w, certain, CROSS_ENTROPY) == pytest.approx(0.0)
+    even_odds = one_row([math.pi / 2], 1, "classification")
+    assert batch_loss(model, w, even_odds, CROSS_ENTROPY) == pytest.approx(
         math.log(2.0), abs=1e-12
     )
-    # confidently wrong: clamped at 1e-12, not infinite
-    wrong = loss(ClassProbs(1.0, 0.0), (0.0, 1.0), CROSS_ENTROPY)
-    assert wrong == pytest.approx(-math.log(1e-12))
+    # confidently wrong: P(label) is exactly 0, clamped at 1e-12, not infinite
+    assert predict_probs(model, [[0.0]], w)[0, 1] == 0.0
+    wrong = batch_loss(model, w, one_row([0.0], 1, "classification"), CROSS_ENTROPY)
+    assert wrong == pytest.approx(-math.log(PROB_EPS))
     assert math.isfinite(wrong)
 
 
 def test_cross_entropy_zero_only_at_one_hot_match():
+    # P(class 0) = cos^2(x/2) with w = 0, so x in [0.2, 2.9] keeps it in (0.01, 0.99).
+    model, w = ry_parity_model(), np.array([0.0])
     rng = np.random.default_rng(36)
     for _ in range(50):
-        p0 = rng.uniform(0.01, 0.99)
-        value = loss(ClassProbs(p0, 1.0 - p0), (1.0, 0.0), CROSS_ENTROPY)
-        assert value > 0.0
-
-
-def test_loss_kind_mismatches_rejected():
-    with pytest.raises(UsageError):
-        loss(Regression(0.1), (1.0, 0.0), CROSS_ENTROPY)
-    with pytest.raises(UsageError):
-        loss(ClassProbs(0.5, 0.5), 0.5, SQUARED_ERROR)
-    with pytest.raises(UsageError):
-        loss(Regression(0.1), 0.1, "hinge")
+        row = one_row([rng.uniform(0.2, 2.9)], 0, "classification")
+        assert batch_loss(model, w, row, CROSS_ENTROPY) > 0.0
 
 
 def test_batch_loss_single_and_duplicate_sample():
@@ -249,9 +259,9 @@ def test_batch_loss_single_and_duplicate_sample():
     single = Dataset((Sample((0.4,), 0.4),), "regression", "toy", 0)
     doubled = Dataset((Sample((0.4,), 0.4),) * 2, "regression", "toy", 0)
     w = np.array([1.0])
-    per_sample = loss(forward(model, [0.4], w), 0.4, SQUARED_ERROR)
-    assert batch_loss(model, w, single, SQUARED_ERROR) == pytest.approx(per_sample)
-    assert batch_loss(model, w, doubled, SQUARED_ERROR) == pytest.approx(per_sample)
+    per_sample = oracles.per_row_loss(forward(model, [0.4], w), 0.4, SQUARED_ERROR)
+    assert batch_loss(model, w, single, SQUARED_ERROR) == pytest.approx(per_sample, abs=1e-12)
+    assert batch_loss(model, w, doubled, SQUARED_ERROR) == pytest.approx(per_sample, abs=1e-12)
 
 
 def test_batch_loss_linear_dataset_at_pi_matches_closed_form():
@@ -285,11 +295,7 @@ def test_batch_cross_entropy_matches_per_sample_loss():
     dataset = gen_two_class_usage(per_class=10, seed=3)
     w = np.array([0.3, -1.2, 0.7, 2.1])
     want = np.mean([
-        loss(
-            forward(model, s.features, w),
-            (1.0, 0.0) if s.target == 0 else (0.0, 1.0),
-            CROSS_ENTROPY,
-        )
+        oracles.per_row_loss(forward(model, s.features, w), s.target, CROSS_ENTROPY)
         for s in dataset.samples
     ])
     assert batch_loss(model, w, dataset, CROSS_ENTROPY) == pytest.approx(want, abs=1e-12)
@@ -300,9 +306,12 @@ def test_batch_cross_entropy_matches_per_sample_loss():
 
 
 def test_decision_rule_tie_goes_to_class_zero():
-    assert decide(ClassProbs(0.5, 0.5)) == 0
-    assert decide(ClassProbs(0.7, 0.3)) == 0
-    assert decide(ClassProbs(0.3, 0.7)) == 1
+    assert decide(0.5, 0.5) == 0
+    assert decide(0.7, 0.3) == 0
+    assert decide(0.3, 0.7) == 1
+    np.testing.assert_array_equal(
+        decide(np.array([0.5, 0.7, 0.3]), np.array([0.5, 0.3, 0.7])), [0, 0, 1]
+    )
 
 
 def test_predict_class_near_tie_follows_strict_comparison():
@@ -313,7 +322,7 @@ def test_predict_class_near_tie_follows_strict_comparison():
     w = np.zeros(model.n_weights)
     pred = forward(model, [0.75, 0.75], w)
     assert pred.p0 == pytest.approx(0.5, abs=1e-12)
-    assert predict_class(model, [0.75, 0.75], w) == decide(pred)
+    assert predicted_class(model, [0.75, 0.75], w) == (1 if pred.p1 > pred.p0 else 0)
 
 
 def test_predict_class_follows_larger_probability():
@@ -323,19 +332,14 @@ def test_predict_class_follows_larger_probability():
         x = rng.uniform(0, 1, 2)
         w = rng.uniform(-math.pi, math.pi, model.n_weights)
         pred = forward(model, x, w)
-        assert predict_class(model, x, w) == (1 if pred.p1 > pred.p0 else 0)
-
-
-def test_predict_class_requires_class_head():
-    with pytest.raises(UsageError):
-        predict_class(simplified_model(), [0.1], [0.0])
+        assert predicted_class(model, x, w) == (1 if pred.p1 > pred.p0 else 0)
 
 
 def test_accuracy_toy_extremes():
     model = build_model("eqnn1")
     w = np.array([0.9, -0.4, 1.7, 0.2])
     points = [(0.05, 0.1, None), (0.9, 0.95, None), (0.3, 0.55, None)]
-    labels = [predict_class(model, (a, b), w) for a, b, _ in points]
+    labels = [predicted_class(model, (a, b), w) for a, b, _ in points]
     right = tiny_class_set([(a, b, y) for (a, b, _), y in zip(points, labels)])
     wrong = tiny_class_set([(a, b, 1 - y) for (a, b, _), y in zip(points, labels)])
     assert accuracy(model, w, right) == 1.0
@@ -347,7 +351,7 @@ def test_accuracy_equals_mean_of_single_predictions():
     dataset = gen_two_class_usage(per_class=15, seed=8)
     w = np.random.default_rng(38).uniform(-math.pi, math.pi, model.n_weights)
     singles = np.mean([
-        predict_class(model, s.features, w) == s.target for s in dataset.samples
+        predicted_class(model, s.features, w) == s.target for s in dataset.samples
     ])
     assert accuracy(model, w, dataset) == pytest.approx(singles)
 
