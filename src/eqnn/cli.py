@@ -71,7 +71,7 @@ FIT_GENERATORS = {"linear": gen_linear, "sigmoid": gen_sigmoid, "tanh": gen_tanh
 
 _seed_option = click.option(
     "--seed",
-    type=int,
+    type=click.IntRange(min=0),
     default=42,
     envvar="EQNN_SEED",
     show_default=True,

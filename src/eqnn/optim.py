@@ -15,8 +15,8 @@ only ``kind``, ``max_iters`` and ``seed`` vary between runs.
   itself: the mean magnitude of ``SPSA_CALIBRATION_SAMPLES``
   perturbation-pair slopes at w0 sets ``a`` so the expected first step
   is about ``SPSA_TARGET_STEP``.
-* ``aqgd`` — plain gradient descent on the analytic parameter-shift
-  gradient, step ``LEARNING_RATE``.
+* ``aqgd`` — gradient descent, step ``LEARNING_RATE``, on the shift-rule
+  gradient, whose loss slopes come from ``qnn``'s one loss core.
 
 Every run returns a ``TrainTrace``: one incumbent loss per iteration
 (COBYLA: best-so-far at each trust-region step; SPSA/AQGD: loss at the
@@ -87,6 +87,8 @@ class OptimizerConfig:
             )
         if self.max_iters < 1:
             raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,22 +246,14 @@ def _check_shift_precondition(model: qnn.QnnModel) -> None:
 def parameter_shift_gradient(model: qnn.QnnModel, w, dataset, kind: str) -> np.ndarray:
     """Exact dL/dw via two +-pi/2-shifted evaluations per weight.
 
-    The circuit-level derivative of each fitted value is
-    (f(w_j + pi/2) - f(w_j - pi/2)) / 2; the loss's outer derivative
-    (squared error or clamped cross-entropy) is applied analytically.
-    Where P(label) is below ``PROB_EPS`` the clamped loss is flat, so
-    those rows contribute 0.
+    The derivative of each fitted value, (f(w_j + pi/2) - f(w_j - pi/2)) / 2,
+    times the loss's slope at f(w) from ``qnn._loss_and_slope``, averaged.
     """
     qnn._check_pairing(model, dataset, kind)
     _check_shift_precondition(model)
     w = np.asarray(w, dtype=float)
-    X = dataset.features_array()
-    targets = dataset.targets_array()
-    base = qnn._fitted(model, X, w, targets, kind)
-    if kind == qnn.SQUARED_ERROR:
-        residual = 2.0 * (base - targets)
-    else:
-        clamped, flat = np.maximum(base, qnn.PROB_EPS), base < qnn.PROB_EPS
+    X, targets = dataset.features_array(), dataset.targets_array()
+    _, slope = qnn._loss_and_slope(qnn._fitted(model, X, w, targets, kind), targets, kind)
     grad = np.empty(model.n_weights)
     for j in range(model.n_weights):
         shift = np.zeros_like(w)
@@ -268,10 +262,7 @@ def parameter_shift_gradient(model: qnn.QnnModel, w, dataset, kind: str) -> np.n
             qnn._fitted(model, X, w + shift, targets, kind)
             - qnn._fitted(model, X, w - shift, targets, kind)
         ) / 2.0
-        if kind == qnn.SQUARED_ERROR:
-            grad[j] = np.mean(residual * df)
-        else:
-            grad[j] = np.mean(np.where(flat, 0.0, -df / clamped))
+        grad[j] = np.mean(slope * df)
     return grad
 
 

@@ -17,9 +17,9 @@ Model zoo:
 Every evaluation goes through one gate walk, ``_amplitudes``: it binds
 the circuit (one row or a ``(batch, n_inputs)`` batch) and applies the
 gates in order, so one call evaluates a whole dataset (in blocks of rows)
-and a batch row is identical to one-at-a-time simulation.  Every loss
-goes through one core, ``_fitted``, which gives the per-row value the
-loss is taken of, and every class decision through ``decide``.
+and a batch row is identical to one-at-a-time simulation.  One loss core,
+``_loss_and_slope``, holds each loss and its slope for ``batch_loss`` and
+the shift-rule gradient alike; every class decision goes through ``decide``.
 Batch means use ``np.mean`` (pairwise summation) as the one documented
 reduction order.
 """
@@ -133,9 +133,10 @@ def build_model(name: str, rescale: str = "default") -> QnnModel:
 
 def parity_signs(n_qubits: int) -> np.ndarray:
     """+1 for even-popcount basis indices, -1 for odd."""
-    idx = np.arange(1 << n_qubits)
-    bits = idx[:, None] >> np.arange(n_qubits)[None, :] & 1
-    return np.where(bits.sum(axis=1) % 2 == 0, 1.0, -1.0)
+    signs = np.ones(1)
+    for _ in range(n_qubits):  # setting the next-higher bit flips the parity
+        signs = np.concatenate([signs, -signs])
+    return signs
 
 
 # --------------------------------------------------------------------------
@@ -228,19 +229,26 @@ def _fitted(model: QnnModel, X, w, targets: np.ndarray, kind: str) -> np.ndarray
     return predict_probs(model, X, w)[np.arange(len(targets)), targets.astype(int)]
 
 
-def batch_loss(model: QnnModel, w, dataset, kind: str) -> float:
-    """Arithmetic mean of per-sample losses over a dataset.
+def _loss_and_slope(fitted: np.ndarray, targets: np.ndarray, kind: str):
+    """Per-row loss and its slope in ``fitted`` (any shape broadcasting to ``targets``).
 
-    ``squared_error`` is (y' - target)^2 for a regression head;
-    ``cross_entropy`` is -log P(label) for a parity head, natural log,
-    with P(label) clamped at ``PROB_EPS``.
+    ``squared_error``: (y' - t)^2, slope 2 (y' - t).  ``cross_entropy``:
+    -ln P(label) with P clamped at ``PROB_EPS``, slope -1/P; 0 below the
+    clamp, where the loss is flat.
     """
+    if kind == SQUARED_ERROR:
+        residual = fitted - targets
+        return residual**2, 2.0 * residual
+    clamped = np.maximum(fitted, PROB_EPS)
+    return -np.log(clamped), np.where(fitted < PROB_EPS, 0.0, -1.0 / clamped)
+
+
+def batch_loss(model: QnnModel, w, dataset, kind: str) -> float:
+    """Arithmetic mean of per-sample losses over a dataset (see ``_loss_and_slope``)."""
     _check_pairing(model, dataset, kind)
     targets = dataset.targets_array()
     fitted = _fitted(model, dataset.features_array(), w, targets, kind)
-    if kind == SQUARED_ERROR:
-        return float(np.mean((fitted - targets) ** 2))
-    return float(np.mean(-np.log(np.maximum(fitted, PROB_EPS))))
+    return float(np.mean(_loss_and_slope(fitted, targets, kind)[0]))
 
 
 def decide(p0, p1):

@@ -1,8 +1,10 @@
 """Independent dense-matrix oracles used by the tests.
 
-Everything here is built from explicit 2x2 / 4x4 matrices and Kronecker
-products only — no reuse of the package's gate kernels — so agreement
-between the two routes is meaningful.
+The simulator oracles are built from explicit 2x2 / 4x4 matrices and
+Kronecker products only — no reuse of the package's gate kernels — so
+agreement between the two routes is meaningful.  The loss and gradient
+oracles write each loss formula and slope out themselves and reach the
+package only through its public predictions.
 
 Amplitude index convention (little-endian, matching the package): bit q
 of the index is qubit q, so ``np.kron(A, B)`` applies ``A`` to the
@@ -117,3 +119,38 @@ def per_row_loss(pred, target, kind: str) -> float:
         return (pred.y - target) ** 2
     p_label = pred.p1 if target == 1 else pred.p0
     return -float(np.log(max(p_label, 1e-12)))
+
+
+def shift_terms(model, w, dataset, kind: str) -> np.ndarray:
+    """Per-row terms of the parameter-shift gradient, shape (n_weights, n_rows).
+
+    Their mean along each row is dL/dw_j, the reference gradient.
+
+    Row j holds each sample's dL/dw_j: the shift-rule derivative of its
+    fitted value (y' for squared error, P(label) for cross-entropy)
+    times the loss's slope, written out here on its own: 2 (y' - t)
+    for squared error, -1 / max(P, 1e-12) for cross-entropy and 0 where
+    P < 1e-12, the clamped loss being flat there.  Fitted values come
+    from the public ``predict_regression`` / ``predict_probs`` only.
+    """
+    from eqnn.qnn import predict_probs, predict_regression
+
+    X, targets = dataset.features_array(), dataset.targets_array()
+
+    def fitted(weights):
+        if kind == "squared_error":
+            return predict_regression(model, X, weights)
+        return predict_probs(model, X, weights)[np.arange(len(targets)), targets.astype(int)]
+
+    w = np.asarray(w, dtype=float)
+    f = fitted(w)
+    terms = np.empty((len(w), len(targets)))
+    for j in range(len(w)):
+        shift = np.zeros_like(w)
+        shift[j] = np.pi / 2.0
+        df = (fitted(w + shift) - fitted(w - shift)) / 2.0
+        if kind == "squared_error":
+            terms[j] = 2.0 * (f - targets) * df
+        else:
+            terms[j] = np.where(f < 1e-12, 0.0, -df / np.maximum(f, 1e-12))
+    return terms

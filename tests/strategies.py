@@ -1,4 +1,4 @@
-"""Hypothesis strategies for random circuits, models and their numeric inputs."""
+"""Hypothesis strategies for random circuits, models, their numeric inputs and datasets."""
 
 import math
 
@@ -6,7 +6,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from eqnn.circuit import GATE_NAMES, Circuit, Const, Gate, Input, Weight
-from eqnn.qnn import PARITY, QnnModel
+from eqnn.data import Dataset, Sample
+from eqnn.qnn import (
+    CROSS_ENTROPY,
+    MODEL_NAMES,
+    PARITY,
+    SQUARED_ERROR,
+    QnnModel,
+    build_model,
+    simplified_model,
+)
 
 COEFFICIENTS = st.floats(-4.0, 4.0)
 
@@ -60,3 +69,26 @@ def rows(n_rows, n_inputs):
 
 def weights(n_weights):
     return arrays(float, (n_weights,), elements=st.floats(-math.pi, math.pi))
+
+
+# The simplified fit model with squared error and each named classifier
+# with cross-entropy: every model the package builds, with its one valid loss.
+FIVE_MODELS = ((simplified_model(), SQUARED_ERROR),) + tuple(
+    (build_model(name), CROSS_ENTROPY) for name in MODEL_NAMES
+)
+
+
+@st.composite
+def problems(draw):
+    """``(model, kind, w, dataset)``: a built model, its loss, random weights, 1-50 rows."""
+    model, kind = draw(st.sampled_from(FIVE_MODELS))
+    w = draw(weights(model.n_weights))
+    X = draw(rows(draw(st.integers(1, 50)), model.n_inputs))
+    if kind == SQUARED_ERROR:
+        targets = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(X), max_size=len(X)))
+        dataset_kind = "regression"
+    else:
+        targets = draw(st.lists(st.integers(0, 1), min_size=len(X), max_size=len(X)))
+        dataset_kind = "classification"
+    samples = tuple(Sample(tuple(x), t) for x, t in zip(X.tolist(), targets))
+    return model, kind, w, Dataset(samples, dataset_kind, "drawn", 0)

@@ -171,7 +171,7 @@ def test_bind_requires_exact_arity():
     )
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(data=st.data())
 def test_batch_bind_equals_per_row_bind(data):
     leaves = [Input(0), Input(1), Weight(0), Weight(1)]

@@ -263,6 +263,22 @@ def test_seed_env_fallback(runner, tmp_path):
     assert read_json(tmp_path / "env_report.json")["seed"] == 7
 
 
+@pytest.mark.parametrize(
+    "args, env",
+    [
+        (["fit-activation", "--target", "linear", "--iters", "2", "--seed", "-1"], {}),
+        (["train", "--model", "eqnn1", "--gen", "--iters", "2"], {"EQNN_SEED": "-5"}),
+    ],
+)
+def test_negative_seed_is_a_usage_error(runner, tmp_path, args, env):
+    # numpy's generators take non-negative seeds only; the flag and its
+    # environment fallback are both refused before anything runs.
+    result = runner.invoke(main, [*args, "--out", str(tmp_path / "run")], env=env)
+    assert result.exit_code == 2, result.output
+    assert "--seed" in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
 # --------------------------------------------------------------------------
 # reproduce
 

@@ -296,7 +296,7 @@ def test_csv_blank_lines_are_ignored(tmp_path):
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_csv_round_trips_finite_values_and_rejects_non_finite(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "property.csv"

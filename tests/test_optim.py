@@ -5,7 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+import oracles
+import strategies
 from eqnn import qnn
 from eqnn.circuit import Circuit, Gate, Input, Weight
 from eqnn.data import Dataset, Sample, gen_linear, gen_two_class_usage
@@ -31,12 +35,14 @@ from eqnn.optim import (
 from eqnn.qnn import (
     CROSS_ENTROPY,
     PARITY,
+    PROB_EPS,
     REGRESSION,
     SQUARED_ERROR,
     QnnModel,
     batch_loss,
     build_model,
     forward,
+    predict_probs,
     simplified_model,
 )
 
@@ -57,6 +63,16 @@ def one_sample(x, y):
     return Dataset((Sample((float(x),), float(y)),), "regression", "toy", 0)
 
 
+def ry_parity_model():
+    """1 qubit, RY(x) then RY(w), parity head: P(class 1) = sin^2((x + w) / 2)."""
+    return QnnModel(
+        "clamped",
+        Circuit(1, (Gate("ry", (0,), Input(0)),)),
+        Circuit(1, (Gate("ry", (0,), Weight(0)),)),
+        PARITY,
+    )
+
+
 # --------------------------------------------------------------------------
 # Config and plumbing
 
@@ -66,6 +82,13 @@ def test_config_validation():
         OptimizerConfig(kind="adam")
     with pytest.raises(ConfigurationError):
         OptimizerConfig(kind="spsa", max_iters=0)
+
+
+def test_config_rejects_negative_seed():
+    # numpy's generators take non-negative seeds only.
+    with pytest.raises(ConfigurationError):
+        OptimizerConfig(kind="spsa", seed=-1)
+    assert OptimizerConfig(kind="spsa", seed=0).seed == 0
 
 
 def test_minimize_checks_dimensions():
@@ -324,18 +347,77 @@ def test_shift_gradient_agrees_with_finite_differences():
 def test_shift_gradient_is_zero_where_cross_entropy_is_clamped():
     # RY(w) RY(x)|0> at x = 0, w = 1e-7: P(label 1) = sin(w/2)^2 ~ 2.5e-15 is
     # below PROB_EPS, so the clamped loss is flat and its derivative is 0.
-    model = QnnModel(
-        "clamped",
-        Circuit(1, (Gate("ry", (0,), Input(0)),)),
-        Circuit(1, (Gate("ry", (0,), Weight(0)),)),
-        PARITY,
-    )
+    model = ry_parity_model()
     dataset = Dataset((Sample((0.0,), 1),), "classification", "toy", 0)
     w = np.array([1e-7])
     got = parameter_shift_gradient(model, w, dataset, CROSS_ENTROPY)
     want = finite_difference(model, w, dataset, CROSS_ENTROPY, h=1e-6)
     assert want[0] == 0.0
     np.testing.assert_array_equal(got, want)
+
+
+@given(problem=strategies.problems())
+def test_shift_gradient_equals_reference_loop(problem):
+    # Every built model with its loss, random weights and 1-50 rows: the
+    # gradient equals the written-out per-weight shift loop of the oracle,
+    # to 1e-12 of the mean absolute per-row term, so that rounding in a
+    # gradient that cancels to near 0 does not read as a failure.
+    model, kind, w, dataset = problem
+    got = parameter_shift_gradient(model, w, dataset, kind)
+    terms = oracles.shift_terms(model, w, dataset, kind)
+    scale = np.mean(np.abs(terms), axis=1)
+    assert np.all(np.abs(got - terms.mean(axis=1)) <= 1e-12 * scale), (got, terms)
+
+
+@given(problem=strategies.problems())
+def test_shift_gradient_equals_central_differences_off_the_clamp(problem):
+    # On rows whose P(label) is at least 0.05 the loss is smooth, so the
+    # shift rule and central differences agree (criterion 07's h and atol).
+    model, kind, w, dataset = problem
+    if kind == CROSS_ENTROPY:
+        p_label = predict_probs(model, dataset.features_array(), w)[
+            np.arange(len(dataset)), dataset.targets_array().astype(int)
+        ]
+        kept = [s for s, p in zip(dataset.samples, p_label) if p >= 0.05]
+        assume(kept)
+        dataset = Dataset(tuple(kept), dataset.kind, dataset.generator, dataset.seed)
+    np.testing.assert_allclose(
+        parameter_shift_gradient(model, w, dataset, kind),
+        finite_difference(model, w, dataset, kind),
+        rtol=0.0,
+        atol=1e-6,
+    )
+
+
+@given(data=st.data())
+def test_clamped_rows_add_nothing_to_the_gradient(data):
+    # Rows with x = 0, label 1 and |w| <= 1e-7 have P(label) = sin^2(w/2)
+    # below PROB_EPS, where the clamped loss is flat.  Mixed among rows with
+    # P(label) >= 0.05, they leave the summed gradient as it was.
+    model = ry_parity_model()
+    w = np.array([data.draw(st.floats(-1e-7, 1e-7))])
+    points = data.draw(
+        st.lists(st.tuples(st.floats(-3.0, 3.0), st.integers(0, 1)), min_size=1, max_size=25)
+    )
+    p = predict_probs(model, [[x] for x, _ in points], w)
+    smooth = [Sample((x,), y) for (x, y), row in zip(points, p) if row[y] >= 0.05]
+    assume(smooth)
+    clamped = [Sample((0.0,), 1)] * data.draw(st.integers(1, 25))
+    mixed = data.draw(st.permutations(smooth + clamped))
+    assert predict_probs(model, [[0.0]], w)[0, 1] < PROB_EPS
+
+    smooth_set = Dataset(tuple(smooth), "classification", "toy", 0)
+    mixed_set = Dataset(tuple(mixed), "classification", "toy", 0)
+    got = parameter_shift_gradient(model, w, mixed_set, CROSS_ENTROPY)
+    alone = parameter_shift_gradient(model, w, smooth_set, CROSS_ENTROPY)
+    terms = oracles.shift_terms(model, w, smooth_set, CROSS_ENTROPY)
+    assert np.all(
+        np.abs(len(mixed) * got - len(smooth) * alone)
+        <= 1e-12 * np.sum(np.abs(terms), axis=1)
+    )
+    np.testing.assert_allclose(
+        got, finite_difference(model, w, mixed_set, CROSS_ENTROPY, h=1e-6), rtol=0.0, atol=1e-6
+    )
 
 
 def test_shift_gradient_rejects_invalid_weight_placement():

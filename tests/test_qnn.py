@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,22 @@ def test_parity_signs():
     np.testing.assert_array_equal(parity_signs(1), [1.0, -1.0])
     np.testing.assert_array_equal(parity_signs(2), [1.0, -1.0, -1.0, 1.0])
     assert parity_signs(3)[[0, 3, 5, 6]].tolist() == [1.0, 1.0, 1.0, 1.0]
+    for n in range(1, 13):
+        popcount = [bin(i).count("1") for i in range(1 << n)]
+        want = np.array([(-1.0) ** c for c in popcount])
+        assert parity_signs(n).dtype == float
+        np.testing.assert_array_equal(parity_signs(n), want)
+
+
+def test_parity_signs_allocates_little_beyond_its_result():
+    # 16 qubits give a 512 KB vector; the build may not hold a per-bit table.
+    tracemalloc.start()
+    try:
+        signs = parity_signs(16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * signs.nbytes
 
 
 # --------------------------------------------------------------------------
@@ -184,7 +201,7 @@ def test_forward_arity_validation():
         forward(model, [0.1, 0.2], [0.0])
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(data=st.data())
 def test_batch_rows_equal_single_state_simulation(data):
     # Named models and random circuits (h/phase/ry/cnot on 1-4 qubits):
@@ -288,6 +305,17 @@ def test_batch_loss_validates_pairing():
         batch_loss(build_model("eqnn1"), [0.0, 0.0], classes, SQUARED_ERROR)
     with pytest.raises(UsageError):
         batch_loss(model, [0.0], regression, "hinge")
+
+
+@given(problem=strategies.problems())
+def test_batch_loss_is_mean_of_per_row_losses(problem):
+    # Every built model with its loss, random weights and 1-50 rows.
+    model, kind, w, dataset = problem
+    want = np.mean([
+        oracles.per_row_loss(forward(model, s.features, w), s.target, kind)
+        for s in dataset.samples
+    ])
+    assert batch_loss(model, w, dataset, kind) == pytest.approx(want, rel=0.0, abs=1e-12)
 
 
 def test_batch_cross_entropy_matches_per_sample_loss():
