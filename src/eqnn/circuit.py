@@ -268,12 +268,13 @@ def bind(circuit: Circuit, inputs, weights) -> tuple[BoundGate, ...]:
     """Evaluate every angle against concrete inputs and weights.
 
     ``inputs`` is one row of shape ``(n_inputs,)`` or a batch of shape
-    ``(batch, n_inputs)``; ``weights`` has shape ``(n_weights,)``.  An
-    angle that depends on the inputs becomes a ``(batch,)`` array for a
-    batch; every other angle is a plain float.  This is the one place
-    that checks arity: the lengths must equal the circuit's input and
-    weight arity exactly — a partial binding is rejected rather than
-    deferred.
+    ``(batch, n_inputs)``; ``weights`` is one row of shape
+    ``(n_weights,)`` or a batch of shape ``(batch, n_weights)``, and at
+    most one of the two is a batch.  An angle that depends on the
+    batched argument becomes a ``(batch,)`` array; every other angle is
+    a plain float.  This is the one place that checks arity: the row
+    lengths must equal the circuit's input and weight arity exactly — a
+    partial binding is rejected rather than deferred.
     """
     inputs = np.asarray(inputs, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -285,10 +286,12 @@ def bind(circuit: Circuit, inputs, weights) -> tuple[BoundGate, ...]:
         raise UsageError(
             f"circuit needs {circuit.input_arity} inputs per row, got {inputs.shape[-1]}"
         )
-    if weights.shape != (circuit.weight_arity,):
+    if weights.ndim not in (1, 2) or weights.shape[-1] != circuit.weight_arity:
         raise UsageError(
-            f"circuit needs {circuit.weight_arity} weights, got shape {weights.shape}"
+            f"circuit needs {circuit.weight_arity} weights per row, got shape {weights.shape}"
         )
+    if inputs.ndim == weights.ndim == 2:
+        raise UsageError("bind takes a batch of inputs or a batch of weights, not both")
 
     def angle(expr):
         value = evaluate(expr, inputs, weights)

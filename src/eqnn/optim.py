@@ -18,6 +18,11 @@ only ``kind``, ``max_iters`` and ``seed`` vary between runs.
 * ``aqgd`` — gradient descent, step ``LEARNING_RATE``, on the shift-rule
   gradient, whose loss slopes come from ``qnn``'s one loss core.
 
+``make_objective`` encodes the dataset once (``qnn._encode``) and passes
+the states to ``qnn.batch_loss`` and ``parameter_shift_gradient`` through
+their private keyword ``_psi``; without it each encodes the dataset
+itself.  A gradient's 2m+1 evaluations run as one batched walk (``qnn``).
+
 Every run returns a ``TrainTrace``: one incumbent loss per iteration
 (COBYLA: best-so-far at each trust-region step; SPSA/AQGD: loss at the
 updated weights), the final weights, and an honest evaluation count —
@@ -243,34 +248,35 @@ def _check_shift_precondition(model: qnn.QnnModel) -> None:
         )
 
 
-def parameter_shift_gradient(model: qnn.QnnModel, w, dataset, kind: str) -> np.ndarray:
+def parameter_shift_gradient(
+    model: qnn.QnnModel, w, dataset, kind: str, *, _psi=None
+) -> np.ndarray:
     """Exact dL/dw via two +-pi/2-shifted evaluations per weight.
 
     The derivative of each fitted value, (f(w_j + pi/2) - f(w_j - pi/2)) / 2,
     times the loss's slope at f(w) from ``qnn._loss_and_slope``, averaged.
+    The stack ``w``, ``w + pi/2 e_j``, ``w - pi/2 e_j`` is one contraction.
     """
     qnn._check_pairing(model, dataset, kind)
     _check_shift_precondition(model)
     w = np.asarray(w, dtype=float)
-    X, targets = dataset.features_array(), dataset.targets_array()
-    _, slope = qnn._loss_and_slope(qnn._fitted(model, X, w, targets, kind), targets, kind)
-    grad = np.empty(model.n_weights)
-    for j in range(model.n_weights):
-        shift = np.zeros_like(w)
-        shift[j] = math.pi / 2.0
-        df = (
-            qnn._fitted(model, X, w + shift, targets, kind)
-            - qnn._fitted(model, X, w - shift, targets, kind)
-        ) / 2.0
-        grad[j] = np.mean(slope * df)
-    return grad
+    if w.ndim != 1:
+        raise UsageError(f"the gradient takes one weight row, got shape {w.shape}")
+    shifts = math.pi / 2.0 * np.eye(len(w))
+    targets = dataset.targets_array()
+    psi = qnn._encode(model, dataset.features_array()) if _psi is None else _psi
+    fitted = qnn._contract(model, np.vstack([w, w + shifts, w - shifts]), psi, targets, kind)
+    _, slope = qnn._loss_and_slope(fitted[0], targets, kind)
+    df = (fitted[1 : len(w) + 1] - fitted[len(w) + 1 :]) / 2.0
+    return np.mean(slope * df, axis=1)
 
 
 def make_objective(model: qnn.QnnModel, dataset, kind: str) -> Objective:
-    """Batch loss over a dataset as a minimization objective."""
+    """Batch loss over a dataset, encoded once, as a minimization objective."""
     qnn._check_pairing(model, dataset, kind)
+    psi = qnn._encode(model, dataset.features_array())
     return Objective(
-        fun=lambda w: qnn.batch_loss(model, w, dataset, kind),
+        fun=lambda w: qnn.batch_loss(model, w, dataset, kind, _psi=psi),
         dim=model.n_weights,
-        grad=lambda w: parameter_shift_gradient(model, w, dataset, kind),
+        grad=lambda w: parameter_shift_gradient(model, w, dataset, kind, _psi=psi),
     )

@@ -14,13 +14,20 @@ Model zoo:
 * ``benchmark`` — ZZ-style encoder + 3-rep RY ansatz, parity head.
 * ``eqnn1/2/3`` — economical encoder + 1/2/3-rep RY ansatz, parity head.
 
-Every evaluation goes through one gate walk, ``_amplitudes``: it binds
-the circuit (one row or a ``(batch, n_inputs)`` batch) and applies the
-gates in order, so one call evaluates a whole dataset (in blocks of rows)
-and a batch row is identical to one-at-a-time simulation.  One loss core,
-``_loss_and_slope``, holds each loss and its slope for ``batch_loss`` and
-the shift-rule gradient alike; every class decision goes through ``decide``.
-Batch means use ``np.mean`` (pairwise summation) as the one documented
+Every evaluation goes through one gate walk, ``_walk``, over gates that
+``bind`` evaluated for one row or a batch of rows.  Predictions walk the
+whole circuit from |0>, a dataset in blocks of rows, and a batch row is
+identical to one-at-a-time simulation.  A training objective walks the
+weight-free feature map once per dataset (``_encode``), then the
+variational circuit from those states on a ``(B, m)`` batch of weight
+rows (``_contract``): one row per loss, the 2m+1 rows ``w``,
+``w +- pi/2 e_j`` per gradient.  Starting from the encoded states, not
+from an identity matrix multiplied into them afterwards, keeps every
+fitted value bit-identical to the public prediction and a wide register
+free of ``2**n x 2**n`` matrices.  One loss core, ``_loss_and_slope``,
+holds each loss and its slope for ``batch_loss`` and the shift-rule
+gradient alike; every class decision goes through ``decide``.  Batch
+means use ``np.mean`` (pairwise summation) as the one documented
 reduction order.
 """
 
@@ -143,18 +150,29 @@ def parity_signs(n_qubits: int) -> np.ndarray:
 # Simulation
 
 
+def _walk(gates, amps: np.ndarray) -> np.ndarray:
+    """Apply bound gates in order to ``amps``, of a dtype that holds them.
+
+    Gates bound to a batch of rows turn ``amps[b]``, shape ``(..., 2**n)``,
+    by row ``b``'s angles.
+    """
+    for g in gates:
+        angle = g.angle
+        if np.ndim(angle):  # one angle per batch row, shared by the axes after it
+            angle = angle.reshape(angle.shape + (1,) * (amps.ndim - 2))
+        amps = _apply(amps, g.name, g.qubits, angle)
+    return amps
+
+
 def _amplitudes(circuit: Circuit, inputs, weights) -> np.ndarray:
-    """Bind ``circuit`` and run it gate by gate from the all-zeros state.
+    """Bind ``circuit`` and walk it from the all-zeros state.
 
     One input row gives ``2**n`` amplitudes; a ``(batch, n_inputs)``
     batch gives ``(batch, 2**n)``.
     """
-    gates = bind(circuit, inputs, weights)
     amps = np.zeros(np.shape(inputs)[:-1] + (1 << circuit.n_qubits,), dtype=complex)
     amps[..., 0] = 1.0
-    for g in gates:
-        amps = _apply(amps, g.name, g.qubits, g.angle)
-    return amps
+    return _walk(bind(circuit, inputs, weights), amps)
 
 
 def simulate(circuit: Circuit, inputs, weights) -> StateVector:
@@ -200,6 +218,53 @@ def forward(model: QnnModel, x, w) -> Regression | ClassProbs:
 
 
 # --------------------------------------------------------------------------
+# The training objective: encode once, walk the weights on a batch
+
+
+def _dtype(circuit: Circuit):
+    """The amplitude dtype a walk of ``circuit`` needs: real unless it has a phase gate."""
+    return complex if any(g.name == "phase" for g in circuit.gates) else float
+
+
+def _encode(model: QnnModel, X) -> np.ndarray:
+    """The feature-map state of each input row, shape ``(N, 2**n)``, in blocks of rows."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    step = max(1, _BLOCK_AMPLITUDES >> model.n_qubits)
+    zero = np.zeros((min(step, len(X)), 1 << model.n_qubits), dtype=_dtype(model.feature_map))
+    zero[:, 0] = 1.0
+    blocks = [X[i : i + step] for i in range(0, len(X), step)]
+    return np.concatenate(
+        [_walk(bind(model.feature_map, b, ()), zero[: len(b)]) for b in blocks]
+    )
+
+
+def _contract(model: QnnModel, weights: np.ndarray, psi: np.ndarray, targets, kind: str):
+    """Fitted values of every encoded row under every weight row: shape ``(B, N)``.
+
+    ``weights`` is a ``(B, m)`` batch and ``psi`` comes from ``_encode``;
+    a fitted value is y' for squared error and P(label) for cross-entropy.
+    The variational circuit is bound once and walked from ``B`` copies of
+    each block of rows of ``psi``; a block takes the bytes of
+    ``_BLOCK_AMPLITUDES`` complex amplitudes.
+    """
+    gates = bind(model.variational, (), weights)
+    dtype = np.result_type(psi, _dtype(model.variational))
+    signs = parity_signs(model.n_qubits)
+    readout = signs if kind == SQUARED_ERROR else (signs > 0).astype(float)
+    fitted = np.empty((len(weights), len(psi)))
+    per_block = _BLOCK_AMPLITUDES * 16 // np.dtype(dtype).itemsize  # 16 B per complex128
+    step = max(1, per_block // (len(weights) * psi.shape[1]))
+    for i in range(0, len(psi), step):
+        block = psi[i : i + step].astype(dtype, copy=False)
+        amps = _walk(gates, np.broadcast_to(block, (len(weights),) + block.shape))
+        head = np.abs(amps) ** 2 @ readout
+        if kind == CROSS_ENTROPY:  # P(class 0) is the even-parity mass
+            head = np.where(targets[i : i + step] == 1, 1.0 - head, head)
+        fitted[:, i : i + step] = head
+    return fitted
+
+
+# --------------------------------------------------------------------------
 # Losses and metrics
 
 
@@ -222,13 +287,6 @@ def _check_pairing(model: QnnModel, dataset, kind: str):
         )
 
 
-def _fitted(model: QnnModel, X, w, targets: np.ndarray, kind: str) -> np.ndarray:
-    """Per-row value the loss is taken of: y' for squared error, P(label) otherwise."""
-    if kind == SQUARED_ERROR:
-        return predict_regression(model, X, w)
-    return predict_probs(model, X, w)[np.arange(len(targets)), targets.astype(int)]
-
-
 def _loss_and_slope(fitted: np.ndarray, targets: np.ndarray, kind: str):
     """Per-row loss and its slope in ``fitted`` (any shape broadcasting to ``targets``).
 
@@ -243,11 +301,15 @@ def _loss_and_slope(fitted: np.ndarray, targets: np.ndarray, kind: str):
     return -np.log(clamped), np.where(fitted < PROB_EPS, 0.0, -1.0 / clamped)
 
 
-def batch_loss(model: QnnModel, w, dataset, kind: str) -> float:
-    """Arithmetic mean of per-sample losses over a dataset (see ``_loss_and_slope``)."""
+def batch_loss(model: QnnModel, w, dataset, kind: str, *, _psi=None) -> float:
+    """Arithmetic mean of per-sample losses over a dataset (see ``_loss_and_slope``).
+
+    ``_psi`` is the dataset's ``_encode`` when the caller has cached it.
+    """
     _check_pairing(model, dataset, kind)
     targets = dataset.targets_array()
-    fitted = _fitted(model, dataset.features_array(), w, targets, kind)
+    psi = _encode(model, dataset.features_array()) if _psi is None else _psi
+    fitted = _contract(model, np.asarray(w, dtype=float)[None], psi, targets, kind)[0]
     return float(np.mean(_loss_and_slope(fitted, targets, kind)[0]))
 
 

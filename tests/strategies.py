@@ -78,10 +78,16 @@ FIVE_MODELS = ((simplified_model(), SQUARED_ERROR),) + tuple(
 )
 
 
+# The five built models, or a random parity-head model with cross-entropy.
+ANY_MODELS = st.one_of(
+    st.sampled_from(FIVE_MODELS), models().map(lambda model: (model, CROSS_ENTROPY))
+)
+
+
 @st.composite
-def problems(draw):
-    """``(model, kind, w, dataset)``: a built model, its loss, random weights, 1-50 rows."""
-    model, kind = draw(st.sampled_from(FIVE_MODELS))
+def problems(draw, pairs=st.sampled_from(FIVE_MODELS)):
+    """``(model, kind, w, dataset)``: a ``pairs`` model, its loss, random weights, 1-50 rows."""
+    model, kind = draw(pairs)
     w = draw(weights(model.n_weights))
     X = draw(rows(draw(st.integers(1, 50)), model.n_inputs))
     if kind == SQUARED_ERROR:

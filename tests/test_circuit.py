@@ -158,6 +158,12 @@ def test_bind_requires_exact_arity():
         bind(circuit, np.zeros((2, 3, 2)), [])
     with pytest.raises(UsageError):
         bind(build_real_amplitudes(2, 1), np.zeros((3, 0)), np.zeros((1, 4)))
+    # Inputs or weights may be a batch, not both, and weights at most 2-D.
+    mixed = Circuit(1, (Gate("ry", (0,), Input(0) * Weight(0)),))
+    with pytest.raises(UsageError, match="not both"):
+        bind(mixed, np.zeros((3, 1)), np.zeros((3, 1)))
+    with pytest.raises(UsageError, match="per row"):
+        bind(mixed, [0.5], np.zeros((2, 2, 1)))
     # A batch larger than one evaluation block: the message names the
     # per-row width, not the shape of whichever block reached bind.
     model = build_model("eqnn3")
@@ -190,6 +196,38 @@ def test_batch_bind_equals_per_row_bind(data):
         else:
             assert isinstance(bound.angle, float)
             assert all(r[k].angle == bound.angle for r in per_row)
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_weight_batch_bind_equals_per_row_bind(data):
+    # A (B, m) weight batch binds each weight-dependent angle to a (B,)
+    # array whose entries are exactly the one-row binds; angles that do
+    # not depend on the weights stay plain floats.
+    leaves = [Weight(0), Weight(1), Weight(2)]
+    circuit = data.draw(strategies.circuits(data.draw(st.integers(1, 4)), leaves))
+    W = data.draw(strategies.rows(data.draw(st.integers(1, 8)), circuit.weight_arity))
+    per_row = [bind(circuit, [], w) for w in W]
+    for k, bound in enumerate(bind(circuit, [], W)):
+        assert all((r[k].name, r[k].qubits) == (bound.name, bound.qubits) for r in per_row)
+        if bound.angle is None:
+            assert all(r[k].angle is None for r in per_row)
+        elif Circuit(circuit.n_qubits, (circuit.gates[k],)).weight_arity:
+            assert isinstance(bound.angle, np.ndarray) and bound.angle.shape == (len(W),)
+            assert bound.angle.tolist() == [r[k].angle for r in per_row]
+        else:
+            assert isinstance(bound.angle, float)
+            assert all(r[k].angle == bound.angle for r in per_row)
+
+
+@given(arity=st.integers(1, 6), width=st.integers(0, 8), batch=st.integers(1, 5))
+def test_weight_batch_of_wrong_width_names_the_arity(arity, width, batch):
+    circuit = Circuit(1, tuple(Gate("ry", (0,), Weight(j)) for j in range(arity)))
+    if width == arity:
+        assert len(bind(circuit, [], np.zeros((batch, width)))) == arity
+        return
+    with pytest.raises(UsageError, match=f"needs {arity} weights per row"):
+        bind(circuit, [], np.zeros((batch, width)))
 
 
 # --------------------------------------------------------------------------

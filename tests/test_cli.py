@@ -1,6 +1,8 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 from scipy.stats import binom
 
+import eqnn
 from eqnn.cli import _sampled_accuracy, main
 from eqnn.data import gen_sigmoid, gen_two_class_usage, save_csv
 from eqnn.qnn import build_model, predict_probs
@@ -250,6 +253,27 @@ def test_train_reports_are_reproducible(runner, tmp_path):
     first.pop("wall_time_s")
     second.pop("wall_time_s")
     assert first == second
+
+
+def test_loss_history_does_not_depend_on_blas_threads(tmp_path):
+    # The head reduction goes through BLAS.  One process on one BLAS
+    # thread and one on two must write the same loss history byte for
+    # byte, as the benchmark's pass-to-pass check and the goldens assume.
+    src = str(Path(eqnn.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    code = "import sys; from eqnn.cli import main; sys.exit(main())"
+    args = ["train", "--gen", "--per-class", "50", "--iters", "5",
+            "--optimizer", "aqgd", "--model", "benchmark", "--seed", "3"]
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path}
+        env.update(dict.fromkeys(
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
+        result = subprocess.run(
+            [sys.executable, "-c", code, *args, "--out", str(tmp_path / threads)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+    assert (tmp_path / "1_loss.csv").read_bytes() == (tmp_path / "2_loss.csv").read_bytes()
 
 
 def test_seed_env_fallback(runner, tmp_path):

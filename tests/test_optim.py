@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -235,21 +236,42 @@ def test_aqgd_quadratic_converges_monotonically():
 
 @pytest.mark.parametrize("kind", ["cobyla", "spsa", "aqgd"])
 def test_reported_evaluations_equal_dataset_passes(monkeypatch, kind):
-    # 20 rows fit one block, so each dataset pass is one probabilities_batch call.
+    # The objective evaluates the dataset by contracting its cached encoding
+    # with a batch of weight rows; each row is one dataset pass: 1 per loss,
+    # 2m+1 per gradient.
     passes = []
-    original = qnn.probabilities_batch
+    original = qnn._contract
 
-    def counted(*args, **kwargs):
-        passes.append(1)
-        return original(*args, **kwargs)
+    def counted(model, weights, *args, **kwargs):
+        passes.extend([1] * len(weights))
+        return original(model, weights, *args, **kwargs)
 
-    monkeypatch.setattr(qnn, "probabilities_batch", counted)
+    monkeypatch.setattr(qnn, "_contract", counted)
     model = build_model("eqnn1")
     dataset = gen_two_class_usage(per_class=10, seed=4)
     objective = make_objective(model, dataset, CROSS_ENTROPY)
     w0 = initial_weights(model.n_weights, seed=4)
     trace = minimize(objective, w0, OptimizerConfig(kind=kind, max_iters=5, seed=4))
     assert len(passes) == trace.evaluations
+
+
+def test_stacked_gradient_memory_stays_below_one_amplitude_stack():
+    # eqnn3 at 8000 rows: the 2m+1 = 17 weight rows are walked in row blocks,
+    # so the peak is about two (17, 8000) arrays of fitted values (2.2 MB
+    # measured), below the 4.35 MB that an unblocked (17, 8000, 4) float64
+    # stack of amplitudes would take on its own.
+    model = build_model("eqnn3")
+    dataset = gen_two_class_usage(per_class=4000, seed=5)
+    objective = make_objective(model, dataset, CROSS_ENTROPY)
+    w = initial_weights(model.n_weights, seed=5)
+    rows = 2 * model.n_weights + 1
+    tracemalloc.start()
+    try:
+        objective.grad(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * rows * len(dataset) * 8 < rows * len(dataset) * 4 * 8, peak
 
 
 def test_aqgd_requires_gradient():
@@ -451,6 +473,12 @@ def test_shift_gradient_validates_shapes_and_pairing():
         parameter_shift_gradient(simplified_model(), [0.1, 0.2], dataset, SQUARED_ERROR)
     with pytest.raises(UsageError):
         parameter_shift_gradient(simplified_model(), [0.1], dataset, CROSS_ENTROPY)
+    # A 2-D w would broadcast against the shift stack; it is refused instead.
+    classes = gen_two_class_usage(per_class=3, seed=1)
+    with pytest.raises(UsageError, match="one weight row"):
+        parameter_shift_gradient(build_model("eqnn1"), np.zeros((4, 4)), classes, CROSS_ENTROPY)
+    with pytest.raises(UsageError):
+        batch_loss(build_model("eqnn1"), np.zeros((1, 4)), classes, CROSS_ENTROPY)
 
 
 def test_make_objective_wires_loss_and_gradient():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 import strategies
+from eqnn import qnn
 from eqnn.circuit import Circuit, Gate, Input, Weight, bind, build_efm, build_real_amplitudes
 from eqnn.data import Dataset, Sample, gen_linear, gen_two_class_usage
 from eqnn.errors import UsageError
@@ -327,6 +328,61 @@ def test_batch_cross_entropy_matches_per_sample_loss():
         for s in dataset.samples
     ])
     assert batch_loss(model, w, dataset, CROSS_ENTROPY) == pytest.approx(want, abs=1e-12)
+
+
+@given(problem=strategies.problems(strategies.ANY_MODELS))
+def test_fused_loss_is_mean_of_per_row_losses_on_any_model(problem):
+    # Random parity-head circuits on 1-4 qubits (phase gates, weight
+    # expressions, products) as well as the five built models: the loss
+    # from the encoded rows and the walk of the weights equals the
+    # textbook per-row loss of ``forward``.
+    model, kind, w, dataset = problem
+    want = np.mean([
+        oracles.per_row_loss(forward(model, s.features, w), s.target, kind)
+        for s in dataset.samples
+    ])
+    assert batch_loss(model, w, dataset, kind) == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
+@given(problem=strategies.problems(), data=st.data())
+def test_contracted_values_equal_public_predictions_bit_for_bit(problem, data):
+    # Each row of a weight batch walks the variational circuit from the
+    # encoded rows with the same arithmetic as a walk of the whole circuit
+    # from |0>, so every fitted value equals the public prediction exactly.
+    model, kind, w, dataset = problem
+    W = np.vstack([w, data.draw(strategies.rows(data.draw(st.integers(0, 4)), len(w)))])
+    X, targets = dataset.features_array(), dataset.targets_array()
+    fitted = qnn._contract(model, W, qnn._encode(model, X), targets, kind)
+    assert fitted.shape == (len(W), len(X))
+    for row, weights in zip(fitted, W):
+        if kind == SQUARED_ERROR:
+            want = predict_regression(model, X, weights)
+        else:
+            want = predict_probs(model, X, weights)[np.arange(len(X)), targets.astype(int)]
+        np.testing.assert_array_equal(row, want)
+
+
+def test_wide_register_loss_stays_within_a_few_states():
+    # 14 qubits and 3 rows: the walk starts from the 3 encoded states, never
+    # from a 2**14 x 2**14 identity (2**28 amplitudes, 4 GiB of complex128).
+    n = 14
+    h_layer = Circuit(n, tuple(Gate("h", (q,)) for q in range(n)))
+    model = QnnModel("wide", h_layer, build_real_amplitudes(n, 1), PARITY)
+    dataset = Dataset(tuple(Sample((), y) for y in (0, 1, 0)), "classification", "toy", 0)
+    w = np.linspace(-1.0, 1.0, model.n_weights)
+    tracemalloc.start()
+    try:
+        loss = batch_loss(model, w, dataset, CROSS_ENTROPY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    states = 3 * (1 << n) * 16
+    assert peak < 3 * states, peak
+    want = np.mean([
+        oracles.per_row_loss(forward(model, s.features, w), s.target, CROSS_ENTROPY)
+        for s in dataset.samples
+    ])
+    assert loss == pytest.approx(want, rel=0.0, abs=1e-12)
 
 
 # --------------------------------------------------------------------------
