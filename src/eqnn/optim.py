@@ -255,7 +255,7 @@ def parameter_shift_gradient(
 
     The derivative of each fitted value, (f(w_j + pi/2) - f(w_j - pi/2)) / 2,
     times the loss's slope at f(w) from ``qnn._loss_and_slope``, averaged.
-    The stack ``w``, ``w + pi/2 e_j``, ``w - pi/2 e_j`` is one contraction.
+    The stack ``w``, ``w + pi/2 e_j``, ``w - pi/2 e_j`` is one walk.
     """
     qnn._check_pairing(model, dataset, kind)
     _check_shift_precondition(model)
@@ -265,7 +265,7 @@ def parameter_shift_gradient(
     shifts = math.pi / 2.0 * np.eye(len(w))
     targets = dataset.targets_array()
     psi = qnn._encode(model, dataset.features_array()) if _psi is None else _psi
-    fitted = qnn._contract(model, np.vstack([w, w + shifts, w - shifts]), psi, targets, kind)
+    fitted = qnn._fitted(model, np.vstack([w, w + shifts, w - shifts]), psi, targets, kind)
     _, slope = qnn._loss_and_slope(fitted[0], targets, kind)
     df = (fitted[1 : len(w) + 1] - fitted[len(w) + 1 :]) / 2.0
     return np.mean(slope * df, axis=1)

@@ -15,20 +15,20 @@ Model zoo:
 * ``eqnn1/2/3`` — economical encoder + 1/2/3-rep RY ansatz, parity head.
 
 Every evaluation goes through one gate walk, ``_walk``, over gates that
-``bind`` evaluated for one row or a batch of rows.  Predictions walk the
-whole circuit from |0>, a dataset in blocks of rows, and a batch row is
-identical to one-at-a-time simulation.  A training objective walks the
-weight-free feature map once per dataset (``_encode``), then the
-variational circuit from those states on a ``(B, m)`` batch of weight
-rows (``_contract``): one row per loss, the 2m+1 rows ``w``,
-``w +- pi/2 e_j`` per gradient.  Starting from the encoded states, not
-from an identity matrix multiplied into them afterwards, keeps every
-fitted value bit-identical to the public prediction and a wide register
-free of ``2**n x 2**n`` matrices.  One loss core, ``_loss_and_slope``,
-holds each loss and its slope for ``batch_loss`` and the shift-rule
-gradient alike; every class decision goes through ``decide``.  Batch
-means use ``np.mean`` (pairwise summation) as the one documented
-reduction order.
+``bind`` evaluated for one row or a batch of rows, from a float64 |0>
+that turns complex only at a phase gate.  There is one evaluation path:
+the weight-free feature map is walked once per dataset (``_encode``),
+then the variational circuit from those states under a weight row or a
+``(B, m)`` batch of them (``_evolve``), in blocks of rows.  Predictions
+walk one weight row and keep the basis probabilities; a training
+objective walks one row per loss and the 2m+1 rows ``w``,
+``w +- pi/2 e_j`` per gradient, and reduces each block by the head's
+readout.  A batch row is identical to one-at-a-time simulation, every
+fitted value to the public prediction, and a wide register needs no
+``2**n x 2**n`` matrix.  One loss core, ``_loss_and_slope``, holds each
+loss and its slope for ``batch_loss`` and the shift-rule gradient alike;
+every class decision goes through ``decide``.  Batch means use
+``np.mean`` (pairwise summation) as the one documented reduction order.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def parity_signs(n_qubits: int) -> np.ndarray:
 
 
 def _walk(gates, amps: np.ndarray) -> np.ndarray:
-    """Apply bound gates in order to ``amps``, of a dtype that holds them.
+    """Apply bound gates in order to ``amps``, real or complex (a phase gate promotes).
 
     Gates bound to a batch of rows turn ``amps[b]``, shape ``(..., 2**n)``,
     by row ``b``'s angles.
@@ -168,9 +168,10 @@ def _amplitudes(circuit: Circuit, inputs, weights) -> np.ndarray:
     """Bind ``circuit`` and walk it from the all-zeros state.
 
     One input row gives ``2**n`` amplitudes; a ``(batch, n_inputs)``
-    batch gives ``(batch, 2**n)``.
+    batch gives ``(batch, 2**n)``.  The start is float64, and the walk
+    turns complex at its first phase gate.
     """
-    amps = np.zeros(np.shape(inputs)[:-1] + (1 << circuit.n_qubits,), dtype=complex)
+    amps = np.zeros(np.shape(inputs)[:-1] + (1 << circuit.n_qubits,))
     amps[..., 0] = 1.0
     return _walk(bind(circuit, inputs, weights), amps)
 
@@ -180,31 +181,60 @@ def simulate(circuit: Circuit, inputs, weights) -> StateVector:
     return StateVector(circuit.n_qubits, _amplitudes(circuit, inputs, weights))
 
 
-# A batch is evaluated in blocks of at most this many amplitudes (64 KB of
-# complex128).  Kernel outputs that size stay below malloc's mmap threshold
-# and are reused from its heap; whole-batch ones would be mapped and
-# unmapped afresh on every gate.
-_BLOCK_AMPLITUDES = 4096
+# A batch is walked in blocks of rows of at most this many bytes as the
+# walk starts (a phase gate doubles them).  Kernel outputs that small are
+# reused from malloc's heap; whole-batch ones would be mapped and unmapped
+# afresh on every gate.
+_BLOCK_BYTES = 1 << 16
+
+
+def _blocks(n_rows: int, row_bytes: int) -> list[slice]:
+    """Slices of ``_BLOCK_BYTES`` worth of rows, at least one row each; one slice for 0 rows."""
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    return [slice(i, i + step) for i in range(0, max(n_rows, 1), step)]
+
+
+def _encode(model: QnnModel, X) -> np.ndarray:
+    """The feature-map state of each input row, shape ``(N, 2**n)``."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    blocks = _blocks(len(X), 8 << model.n_qubits)  # 8 B per float64 amplitude
+    return np.concatenate([_amplitudes(model.feature_map, X[rows], ()) for rows in blocks])
+
+
+def _evolve(model: QnnModel, weights, psi: np.ndarray, readout=None) -> np.ndarray:
+    """Walk the variational circuit from the encoded states ``psi`` under each weight row.
+
+    ``weights`` is a ``(B, m)`` batch, or one row taken as B = 1.  Returns
+    the ``(B, N, 2**n)`` probabilities, or their ``(B, N)`` products with
+    ``readout``.  The circuit is bound once and walked from ``B`` copies
+    of each block of rows of ``psi``.
+    """
+    gates = bind(model.variational, (), weights)
+    batch = len(weights) if np.ndim(weights) == 2 else 1
+    out = np.empty((batch,) + (psi.shape if readout is None else psi.shape[:1]))
+    for rows in _blocks(len(psi), batch * psi.itemsize << model.n_qubits):
+        block = psi[rows]
+        probs = np.abs(_walk(gates, np.broadcast_to(block, (batch,) + block.shape))) ** 2
+        out[:, rows] = probs if readout is None else probs @ readout
+    return out
 
 
 def probabilities_batch(model: QnnModel, X, w) -> np.ndarray:
     """Basis-state probabilities for each input row: shape (batch, 2**n)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    step = max(1, _BLOCK_AMPLITUDES >> model.n_qubits)
-    blocks = [X[i : i + step] for i in range(0, max(len(X), 1), step)]
-    return np.concatenate([np.abs(_amplitudes(model.circuit, b, w)) ** 2 for b in blocks])
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 1:
+        raise UsageError(f"predictions take one weight row, got shape {w.shape}")
+    return _evolve(model, w, _encode(model, X))[0]
 
 
 def predict_regression(model: QnnModel, X, w) -> np.ndarray:
     """y' = P(even parity) - P(odd parity) for each input row."""
-    probs = probabilities_batch(model, X, w)
-    return probs @ parity_signs(model.n_qubits)
+    return probabilities_batch(model, X, w) @ parity_signs(model.n_qubits)
 
 
 def predict_probs(model: QnnModel, X, w) -> np.ndarray:
     """Class-probability pairs (P(class 0), P(class 1)), shape (batch, 2)."""
-    probs = probabilities_batch(model, X, w)
-    even = probs @ (parity_signs(model.n_qubits) > 0).astype(float)
+    even = probabilities_batch(model, X, w) @ (parity_signs(model.n_qubits) > 0).astype(float)
     return np.stack([even, 1.0 - even], axis=-1)
 
 
@@ -215,53 +245,6 @@ def forward(model: QnnModel, x, w) -> Regression | ClassProbs:
         return Regression(float(predict_regression(model, x[None, :], w)[0]))
     p0, p1 = predict_probs(model, x[None, :], w)[0]
     return ClassProbs(float(p0), float(p1))
-
-
-# --------------------------------------------------------------------------
-# The training objective: encode once, walk the weights on a batch
-
-
-def _dtype(circuit: Circuit):
-    """The amplitude dtype a walk of ``circuit`` needs: real unless it has a phase gate."""
-    return complex if any(g.name == "phase" for g in circuit.gates) else float
-
-
-def _encode(model: QnnModel, X) -> np.ndarray:
-    """The feature-map state of each input row, shape ``(N, 2**n)``, in blocks of rows."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    step = max(1, _BLOCK_AMPLITUDES >> model.n_qubits)
-    zero = np.zeros((min(step, len(X)), 1 << model.n_qubits), dtype=_dtype(model.feature_map))
-    zero[:, 0] = 1.0
-    blocks = [X[i : i + step] for i in range(0, len(X), step)]
-    return np.concatenate(
-        [_walk(bind(model.feature_map, b, ()), zero[: len(b)]) for b in blocks]
-    )
-
-
-def _contract(model: QnnModel, weights: np.ndarray, psi: np.ndarray, targets, kind: str):
-    """Fitted values of every encoded row under every weight row: shape ``(B, N)``.
-
-    ``weights`` is a ``(B, m)`` batch and ``psi`` comes from ``_encode``;
-    a fitted value is y' for squared error and P(label) for cross-entropy.
-    The variational circuit is bound once and walked from ``B`` copies of
-    each block of rows of ``psi``; a block takes the bytes of
-    ``_BLOCK_AMPLITUDES`` complex amplitudes.
-    """
-    gates = bind(model.variational, (), weights)
-    dtype = np.result_type(psi, _dtype(model.variational))
-    signs = parity_signs(model.n_qubits)
-    readout = signs if kind == SQUARED_ERROR else (signs > 0).astype(float)
-    fitted = np.empty((len(weights), len(psi)))
-    per_block = _BLOCK_AMPLITUDES * 16 // np.dtype(dtype).itemsize  # 16 B per complex128
-    step = max(1, per_block // (len(weights) * psi.shape[1]))
-    for i in range(0, len(psi), step):
-        block = psi[i : i + step].astype(dtype, copy=False)
-        amps = _walk(gates, np.broadcast_to(block, (len(weights),) + block.shape))
-        head = np.abs(amps) ** 2 @ readout
-        if kind == CROSS_ENTROPY:  # P(class 0) is the even-parity mass
-            head = np.where(targets[i : i + step] == 1, 1.0 - head, head)
-        fitted[:, i : i + step] = head
-    return fitted
 
 
 # --------------------------------------------------------------------------
@@ -287,6 +270,21 @@ def _check_pairing(model: QnnModel, dataset, kind: str):
         )
 
 
+def _fitted(model: QnnModel, weights, psi: np.ndarray, targets, kind: str):
+    """Fitted values of every encoded row under every weight row: shape ``(B, N)``.
+
+    ``weights`` is a ``(B, m)`` batch and ``psi`` comes from ``_encode``;
+    a fitted value is y' for squared error and P(label) for cross-entropy,
+    turned from P(class 0) in place.
+    """
+    signs = parity_signs(model.n_qubits)
+    if kind == SQUARED_ERROR:
+        return _evolve(model, weights, psi, signs)
+    fitted = _evolve(model, weights, psi, (signs > 0).astype(float))
+    np.subtract(1.0, fitted, out=fitted, where=targets == 1)
+    return fitted
+
+
 def _loss_and_slope(fitted: np.ndarray, targets: np.ndarray, kind: str):
     """Per-row loss and its slope in ``fitted`` (any shape broadcasting to ``targets``).
 
@@ -309,7 +307,7 @@ def batch_loss(model: QnnModel, w, dataset, kind: str, *, _psi=None) -> float:
     _check_pairing(model, dataset, kind)
     targets = dataset.targets_array()
     psi = _encode(model, dataset.features_array()) if _psi is None else _psi
-    fitted = _contract(model, np.asarray(w, dtype=float)[None], psi, targets, kind)[0]
+    fitted = _fitted(model, np.asarray(w, dtype=float)[None], psi, targets, kind)[0]
     return float(np.mean(_loss_and_slope(fitted, targets, kind)[0]))
 
 

@@ -7,10 +7,11 @@ Basis label ``|q1 q0>`` therefore reads right-to-left.
 
 Two layers over one dispatch:
 
-* ``kernel_*`` functions operate on raw complex arrays of shape
+* ``kernel_*`` functions operate on raw real or complex arrays of shape
   ``(..., 2**n)``.  Leading axes broadcast, so a batch of states (and a
   matching batch of angles) is transformed in one vectorized call.
-  These are the hot path for training.
+  H, RY and CNOT keep a real input real; ``kernel_phase`` promotes its
+  output to complex.  These are the hot path for training.
 * ``StateVector`` plus ``zero_state`` / ``apply_single`` / ``apply_cnot``
   / ``probabilities`` wrap the kernels in a validated value type for
   single-state work.
@@ -69,9 +70,9 @@ def kernel_h(amps: np.ndarray, qubit: int) -> np.ndarray:
 
 
 def kernel_phase(amps: np.ndarray, theta, qubit: int) -> np.ndarray:
-    """Phase gate diag(1, e^{i*theta}) on ``qubit``."""
+    """Phase gate diag(1, e^{i*theta}) on ``qubit``; the output is complex."""
     a = _split(amps, qubit)
-    out = a.copy()
+    out = a.astype(complex)
     out[..., 1, :] = a[..., 1, :] * np.exp(1j * _angle(theta))
     return out.reshape(amps.shape)
 

@@ -1,8 +1,10 @@
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,8 +104,10 @@ def test_minimize_checks_dimensions():
 def test_import_leaves_scipy_optimize_unloaded():
     # A fresh interpreter, so modules the rest of the suite imported do not mask it.
     code = "import eqnn, eqnn.cli, sys; print('scipy.optimize' in sys.modules)"
+    src = str(Path(qnn.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
@@ -236,17 +240,17 @@ def test_aqgd_quadratic_converges_monotonically():
 
 @pytest.mark.parametrize("kind", ["cobyla", "spsa", "aqgd"])
 def test_reported_evaluations_equal_dataset_passes(monkeypatch, kind):
-    # The objective evaluates the dataset by contracting its cached encoding
-    # with a batch of weight rows; each row is one dataset pass: 1 per loss,
+    # The objective evaluates the dataset by walking its cached encoding
+    # under a batch of weight rows; each row is one dataset pass: 1 per loss,
     # 2m+1 per gradient.
     passes = []
-    original = qnn._contract
+    original = qnn._fitted
 
     def counted(model, weights, *args, **kwargs):
         passes.extend([1] * len(weights))
         return original(model, weights, *args, **kwargs)
 
-    monkeypatch.setattr(qnn, "_contract", counted)
+    monkeypatch.setattr(qnn, "_fitted", counted)
     model = build_model("eqnn1")
     dataset = gen_two_class_usage(per_class=10, seed=4)
     objective = make_objective(model, dataset, CROSS_ENTROPY)

@@ -198,16 +198,27 @@ def test_forward_arity_validation():
     model = build_model("eqnn1")
     with pytest.raises(UsageError):
         forward(model, [0.1], [0.0, 0.0])
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=r"needs 4 weights per row, got shape \(1,\)"):
         forward(model, [0.1, 0.2], [0.0])
+    with pytest.raises(UsageError, match=r"one weight row, got shape \(2, 4\)"):
+        predict_probs(model, np.zeros((3, 2)), np.zeros((2, 4)))
+
+
+def test_empty_batches_keep_their_shapes():
+    model, w = build_model("eqnn1"), np.zeros(4)
+    X = np.zeros((0, 2))
+    assert predict_regression(model, X, w).shape == (0,)
+    assert predict_probs(model, X, w).shape == (0, 2)
+    assert probabilities_batch(model, X, w).shape == (0, 4)
 
 
 @settings(max_examples=80)
 @given(data=st.data())
 def test_batch_rows_equal_single_state_simulation(data):
     # Named models and random circuits (h/phase/ry/cnot on 1-4 qubits):
-    # every batch row is exactly the one-row simulation, and both match
-    # the dense matrix product of the bound gates.
+    # every batch row is exactly the one-row simulation, which is exactly
+    # the walk from a complex |0> (the real start moves no value), and both
+    # match the dense matrix product of the bound gates.
     model = data.draw(
         st.one_of(st.sampled_from(ALL_NAMED).map(build_model), strategies.models())
     )
@@ -215,19 +226,24 @@ def test_batch_rows_equal_single_state_simulation(data):
     w = data.draw(strategies.weights(model.n_weights))
     batch = probabilities_batch(model, X, w)
     assert batch.shape == (len(X), 1 << model.n_qubits)
+    complex_zero = np.zeros(1 << model.n_qubits, dtype=complex)
+    complex_zero[0] = 1.0
     for x, row in zip(X, batch):
         single = simulate(model.circuit, x, w).amps
+        gates = bind(model.circuit, x, w)
         np.testing.assert_array_equal(row, np.abs(single) ** 2)
+        np.testing.assert_array_equal(single, qnn._walk(gates, complex_zero))
         dense = oracles.circuit_state(
-            model.n_qubits, [(g.name, g.qubits, g.angle) for g in bind(model.circuit, x, w)]
+            model.n_qubits, [(g.name, g.qubits, g.angle) for g in gates]
         )
         np.testing.assert_allclose(single, dense, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(row, np.abs(dense) ** 2, rtol=0.0, atol=1e-12)
 
 
 def test_batch_walked_in_blocks_equals_single_state_simulation():
-    # 2 qubits walk 1024 rows per block; 2051 rows span three blocks,
-    # the last a partial one.
+    # The benchmark's 2 qubits encode 2048 rows per block from a float64
+    # start and walk the weights 1024 complex rows per block; 2051 rows
+    # span two and three blocks, the last a partial one.
     model = build_model("benchmark")
     X = np.random.default_rng(3).uniform(-1.0, 1.0, size=(2051, model.n_inputs))
     w = np.linspace(-1.0, 1.0, model.n_weights)
@@ -347,12 +363,12 @@ def test_fused_loss_is_mean_of_per_row_losses_on_any_model(problem):
 @given(problem=strategies.problems(), data=st.data())
 def test_contracted_values_equal_public_predictions_bit_for_bit(problem, data):
     # Each row of a weight batch walks the variational circuit from the
-    # encoded rows with the same arithmetic as a walk of the whole circuit
-    # from |0>, so every fitted value equals the public prediction exactly.
+    # encoded rows with the same arithmetic as a prediction's one weight
+    # row, so every fitted value equals the public prediction exactly.
     model, kind, w, dataset = problem
     W = np.vstack([w, data.draw(strategies.rows(data.draw(st.integers(0, 4)), len(w)))])
     X, targets = dataset.features_array(), dataset.targets_array()
-    fitted = qnn._contract(model, W, qnn._encode(model, X), targets, kind)
+    fitted = qnn._fitted(model, W, qnn._encode(model, X), targets, kind)
     assert fitted.shape == (len(W), len(X))
     for row, weights in zip(fitted, W):
         if kind == SQUARED_ERROR:

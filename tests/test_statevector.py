@@ -179,6 +179,24 @@ def test_batched_kernels_equal_per_row_application():
         )
 
 
+def test_phase_on_real_amplitudes_is_complex():
+    # A walk starts in float64; the phase gate must keep the imaginary part
+    # of e^{i theta} rather than drop it on the way back into a real array.
+    np.testing.assert_array_equal(
+        kernel_phase(np.array([0.6, 0.8]), 0.5, 0), [0.6, 0.8 * np.exp(0.5j)]
+    )
+    rng = np.random.default_rng(19)
+    batch = rng.normal(size=(5, 4))
+    batch /= np.linalg.norm(batch, axis=1, keepdims=True)
+    thetas = rng.uniform(-np.pi, np.pi, 5)
+    out = kernel_phase(batch, thetas, 1)
+    assert out.dtype == complex
+    np.testing.assert_array_equal(out, kernel_phase(batch.astype(complex), thetas, 1))
+    for row, theta, got in zip(batch, thetas, out):
+        want = oracles.single_on(2, 1, oracles.phase_matrix(theta)) @ row
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
+
 def test_twenty_qubit_register_round_trip():
     state = zero_state(20)
     state = apply_single(state, Hadamard(), 19)
