@@ -19,9 +19,10 @@ only ``kind``, ``max_iters`` and ``seed`` vary between runs.
   gradient, whose loss slopes come from ``qnn``'s one loss core.
 
 ``make_objective`` encodes the dataset once (``qnn._encode``) and passes
-the states to ``qnn.batch_loss`` and ``parameter_shift_gradient`` through
-their private keyword ``_psi``; without it each encodes the dataset
-itself.  A gradient's 2m+1 evaluations run as one batched walk (``qnn``).
+the ``(2**n, N)`` states, one column per row, to ``qnn.batch_loss`` and
+``parameter_shift_gradient`` through their private keyword ``_psi``;
+without it each encodes the dataset itself.  A gradient's 2m+1
+evaluations run as one batched walk (``qnn``).
 
 Every run returns a ``TrainTrace``: one incumbent loss per iteration
 (COBYLA: best-so-far at each trust-region step; SPSA/AQGD: loss at the

@@ -16,19 +16,21 @@ Model zoo:
 
 Every evaluation goes through one gate walk, ``_walk``, over gates that
 ``bind`` evaluated for one row or a batch of rows, from a float64 |0>
-that turns complex only at a phase gate.  There is one evaluation path:
-the weight-free feature map is walked once per dataset (``_encode``),
-then the variational circuit from those states under a weight row or a
-``(B, m)`` batch of them (``_evolve``), in blocks of rows.  Predictions
-walk one weight row and keep the basis probabilities; a training
-objective walks one row per loss and the 2m+1 rows ``w``,
-``w +- pi/2 e_j`` per gradient, and reduces each block by the head's
-readout.  A batch row is identical to one-at-a-time simulation, every
-fitted value to the public prediction, and a wide register needs no
-``2**n x 2**n`` matrix.  One loss core, ``_loss_and_slope``, holds each
-loss and its slope for ``batch_loss`` and the shift-rule gradient alike;
-every class decision goes through ``decide``.  Batch means use
-``np.mean`` (pairwise summation) as the one documented reduction order.
+that turns complex only at a phase gate.  Amplitudes are laid out as
+the kernels take them, ``(2**n, *batch)``.  There is one evaluation path:
+the weight-free feature map is walked once per dataset (``_encode``, a
+``(2**n, N)`` state), then the variational circuit from those states
+under a weight row or a ``(B, m)`` batch of them (``_evolve``, walking
+``(2**n, B, rows)``), in blocks of rows.  Predictions walk one weight
+row and keep the basis probabilities; a training objective walks one row
+per loss and the 2m+1 rows ``w``, ``w +- pi/2 e_j`` per gradient, and
+reduces each block by the head's readout.  A batch row is identical to
+one-at-a-time simulation, every fitted value to the public prediction,
+and a wide register needs no ``2**n x 2**n`` matrix.  One loss core,
+``_loss_and_slope``, holds each loss and its slope for ``batch_loss``
+and the shift-rule gradient alike; every class decision goes through
+``decide``.  Batch means use ``np.mean`` (pairwise summation) as the one
+documented reduction order.
 """
 
 from __future__ import annotations
@@ -153,7 +155,7 @@ def parity_signs(n_qubits: int) -> np.ndarray:
 def _walk(gates, amps: np.ndarray) -> np.ndarray:
     """Apply bound gates in order to ``amps``, real or complex (a phase gate promotes).
 
-    Gates bound to a batch of rows turn ``amps[b]``, shape ``(..., 2**n)``,
+    Gates bound to a batch of rows turn ``amps[:, b]``, shape ``(2**n, ...)``,
     by row ``b``'s angles.
     """
     for g in gates:
@@ -168,11 +170,11 @@ def _amplitudes(circuit: Circuit, inputs, weights) -> np.ndarray:
     """Bind ``circuit`` and walk it from the all-zeros state.
 
     One input row gives ``2**n`` amplitudes; a ``(batch, n_inputs)``
-    batch gives ``(batch, 2**n)``.  The start is float64, and the walk
-    turns complex at its first phase gate.
+    batch gives ``(2**n, batch)``, the amplitude axis first.  The start is
+    float64, and the walk turns complex at its first phase gate.
     """
-    amps = np.zeros(np.shape(inputs)[:-1] + (1 << circuit.n_qubits,))
-    amps[..., 0] = 1.0
+    amps = np.zeros((1 << circuit.n_qubits,) + np.shape(inputs)[:-1])
+    amps[0] = 1.0
     return _walk(bind(circuit, inputs, weights), amps)
 
 
@@ -195,26 +197,30 @@ def _blocks(n_rows: int, row_bytes: int) -> list[slice]:
 
 
 def _encode(model: QnnModel, X) -> np.ndarray:
-    """The feature-map state of each input row, shape ``(N, 2**n)``."""
+    """The feature-map state of each input row, one per column: shape ``(2**n, N)``."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     blocks = _blocks(len(X), 8 << model.n_qubits)  # 8 B per float64 amplitude
-    return np.concatenate([_amplitudes(model.feature_map, X[rows], ()) for rows in blocks])
+    return np.hstack([_amplitudes(model.feature_map, X[rows], ()) for rows in blocks])
 
 
 def _evolve(model: QnnModel, weights, psi: np.ndarray, readout=None) -> np.ndarray:
     """Walk the variational circuit from the encoded states ``psi`` under each weight row.
 
-    ``weights`` is a ``(B, m)`` batch, or one row taken as B = 1.  Returns
-    the ``(B, N, 2**n)`` probabilities, or their ``(B, N)`` products with
-    ``readout``.  The circuit is bound once and walked from ``B`` copies
-    of each block of rows of ``psi``.
+    ``weights`` is a ``(B, m)`` batch, or one row taken as B = 1, and ``psi``
+    is ``(2**n, N)``.  Returns the ``(B, N, 2**n)`` probabilities, or their
+    ``(B, N)`` products with ``readout``.  The circuit is bound once and
+    walked from ``(2**n, B, rows)``: B copies of each block of columns of
+    ``psi``.  Each block's amplitude axis moves back to last, contiguous,
+    before the readout.
     """
     gates = bind(model.variational, (), weights)
     batch = len(weights) if np.ndim(weights) == 2 else 1
-    out = np.empty((batch,) + (psi.shape if readout is None else psi.shape[:1]))
-    for rows in _blocks(len(psi), batch * psi.itemsize << model.n_qubits):
-        block = psi[rows]
-        probs = np.abs(_walk(gates, np.broadcast_to(block, (batch,) + block.shape))) ** 2
+    dim, n_rows = psi.shape
+    out = np.empty((batch, n_rows) + ((dim,) if readout is None else ()))
+    for rows in _blocks(n_rows, batch * psi.itemsize * dim):
+        block = psi[:, None, rows]
+        amps = _walk(gates, np.broadcast_to(block, (dim, batch, block.shape[2])))
+        probs = np.ascontiguousarray(np.moveaxis(np.abs(amps) ** 2, 0, -1))
         out[:, rows] = probs if readout is None else probs @ readout
     return out
 

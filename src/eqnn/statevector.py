@@ -8,10 +8,13 @@ Basis label ``|q1 q0>`` therefore reads right-to-left.
 Two layers over one dispatch:
 
 * ``kernel_*`` functions operate on raw real or complex arrays of shape
-  ``(..., 2**n)``.  Leading axes broadcast, so a batch of states (and a
-  matching batch of angles) is transformed in one vectorized call.
-  H, RY and CNOT keep a real input real; ``kernel_phase`` promotes its
-  output to complex.  These are the hot path for training.
+  ``(2**n, *batch)``: the amplitude axis first, batch axes trailing, and
+  an angle shaped like the batch (or a scalar), so a batch of states is
+  transformed in one vectorized call.  Each returns a fresh C-ordered
+  array, so the two halves of every qubit's pair are whole slabs; CNOT
+  copies and flips halves, with no index array.  H, RY and CNOT keep a
+  real input real; ``kernel_phase`` promotes its output to complex.
+  These are the hot path for training.
 * ``StateVector`` plus ``zero_state`` / ``apply_single`` / ``apply_cnot``
   / ``probabilities`` wrap the kernels in a validated value type for
   single-state work.
@@ -45,61 +48,69 @@ def _qubit_count(dim: int) -> int:
 
 
 def _split(amps: np.ndarray, qubit: int) -> np.ndarray:
-    """View ``(..., 2**n)`` as ``(..., pre, 2, post)`` with ``qubit`` in the middle."""
-    n = _qubit_count(amps.shape[-1])
+    """View ``(2**n, *batch)`` as ``(pre, 2, post, *batch)``, ``qubit`` in the middle."""
+    n = _qubit_count(amps.shape[0])
     if not 0 <= qubit < n:
         raise UsageError(f"qubit {qubit} out of range for {n}-qubit state")
     pre, post = 1 << (n - 1 - qubit), 1 << qubit
-    return amps.reshape(amps.shape[:-1] + (pre, 2, post))
-
-
-def _angle(theta) -> np.ndarray:
-    """Shape an angle (scalar or batch) to broadcast against ``(..., pre, post)``."""
-    th = np.asarray(theta, dtype=float)
-    return th[..., None, None] if th.ndim else th
+    return amps.reshape((pre, 2, post) + amps.shape[1:])
 
 
 def kernel_h(amps: np.ndarray, qubit: int) -> np.ndarray:
     """Hadamard on ``qubit``."""
     a = _split(amps, qubit)
-    v0, v1 = a[..., 0, :], a[..., 1, :]
-    out = np.empty_like(a)
-    out[..., 0, :] = (v0 + v1) * _SQRT_HALF
-    out[..., 1, :] = (v0 - v1) * _SQRT_HALF
+    out = np.empty(a.shape, a.dtype)
+    for half, combine in ((0, np.add), (1, np.subtract)):
+        combine(a[:, 0], a[:, 1], out=out[:, half])
+        np.multiply(out[:, half], _SQRT_HALF, out=out[:, half])
     return out.reshape(amps.shape)
 
 
 def kernel_phase(amps: np.ndarray, theta, qubit: int) -> np.ndarray:
     """Phase gate diag(1, e^{i*theta}) on ``qubit``; the output is complex."""
     a = _split(amps, qubit)
-    out = a.astype(complex)
-    out[..., 1, :] = a[..., 1, :] * np.exp(1j * _angle(theta))
+    out = np.empty(a.shape, complex)
+    out[:, 0] = a[:, 0]
+    # Broadcast before the multiply: a one-element product that the ufunc must
+    # broadcast itself skips numpy's SIMD loop and rounds 1 ulp apart.
+    phase = np.broadcast_to(np.exp(1j * np.asarray(theta, dtype=float)), out[:, 1].shape)
+    np.multiply(a[:, 1], phase, out=out[:, 1])
     return out.reshape(amps.shape)
 
 
 def kernel_ry(amps: np.ndarray, theta, qubit: int) -> np.ndarray:
     """RY rotation [[cos t/2, -sin t/2], [sin t/2, cos t/2]] on ``qubit``."""
     a = _split(amps, qubit)
-    th = _angle(theta)
+    th = np.asarray(theta, dtype=float)
     c, s = np.cos(th / 2.0), np.sin(th / 2.0)
-    v0, v1 = a[..., 0, :], a[..., 1, :]
-    out = np.empty_like(a)
-    out[..., 0, :] = c * v0 - s * v1
-    out[..., 1, :] = s * v0 + c * v1
+    v0, v1 = a[:, 0], a[:, 1]
+    out = np.empty(a.shape, a.dtype)
+    o0, o1 = out[:, 0], out[:, 1]
+    tmp = np.multiply(s, v1)
+    np.subtract(np.multiply(c, v0, out=o0), tmp, out=o0)
+    np.add(np.multiply(s, v0, out=o1), np.multiply(c, v1, out=tmp), out=o1)
     return out.reshape(amps.shape)
 
 
 def kernel_cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
-    """CNOT: flip ``target`` on the amplitudes whose ``control`` bit is 1."""
-    n = _qubit_count(amps.shape[-1])
+    """CNOT: flip ``target`` on the amplitudes whose ``control`` bit is 1.
+
+    On the ``(2,)*n + batch`` view (qubit ``q`` on axis ``n - 1 - q``) it copies
+    the control=0 half and flips the control=1 half along the target axis.
+    """
+    n = _qubit_count(amps.shape[0])
     for name, q in (("control", control), ("target", target)):
         if not 0 <= q < n:
             raise UsageError(f"{name} qubit {q} out of range for {n}-qubit state")
     if control == target:
         raise UsageError(f"cnot control and target must differ (both {control})")
-    idx = np.arange(amps.shape[-1])
-    src = np.where((idx >> control) & 1 == 1, idx ^ (1 << target), idx)
-    return amps[..., src]
+    a = amps.reshape((2,) * n + amps.shape[1:])
+    out = np.empty(a.shape, a.dtype)
+    c, t = n - 1 - control, n - 1 - target
+    lead = (slice(None),) * c
+    out[lead + (0,)] = a[lead + (0,)]
+    out[lead + (1,)] = np.flip(a[lead + (1,)], t - (t > c))
+    return out.reshape(amps.shape)
 
 
 def _apply(amps: np.ndarray, name: str, qubits: tuple[int, ...], angle=None) -> np.ndarray:

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from eqnn.errors import ConfigurationError, UsageError
@@ -161,22 +165,42 @@ def test_qubit_index_validation():
 
 
 def test_batched_kernels_equal_per_row_application():
+    # The amplitude axis comes first; the batch axes trail.
     rng = np.random.default_rng(18)
-    batch = np.stack([oracles.random_state(rng, 2) for _ in range(7)])
+    batch = np.stack([oracles.random_state(rng, 2) for _ in range(7)], axis=1)
     thetas = rng.uniform(-np.pi, np.pi, 7)
+    assert batch.shape == (4, 7)
 
     batched = kernel_ry(batch, thetas, 1)
-    rows = np.stack([kernel_ry(batch[i], thetas[i], 1) for i in range(7)])
+    rows = np.stack([kernel_ry(batch[:, i], thetas[i], 1) for i in range(7)], axis=1)
     np.testing.assert_array_equal(batched, rows)
 
     batched = kernel_phase(batch, thetas, 0)
-    rows = np.stack([kernel_phase(batch[i], thetas[i], 0) for i in range(7)])
+    rows = np.stack([kernel_phase(batch[:, i], thetas[i], 0) for i in range(7)], axis=1)
     np.testing.assert_array_equal(batched, rows)
 
     for kernel in (lambda a: kernel_h(a, 0), lambda a: kernel_cnot(a, 0, 1)):
         np.testing.assert_array_equal(
-            kernel(batch), np.stack([kernel(batch[i]) for i in range(7)])
+            kernel(batch), np.stack([kernel(batch[:, i]) for i in range(7)], axis=1)
         )
+
+    # One qubit and one column leave a one-element half; it rounds as alone.
+    for _ in range(20):
+        column, theta = oracles.random_state(rng, 1), rng.uniform(-np.pi, np.pi)
+        np.testing.assert_array_equal(
+            kernel_phase(column[:, None], np.array([theta]), 0)[:, 0],
+            kernel_phase(column, theta, 0),
+        )
+
+    # A batch laid out the old way, (batch, 2**n), is refused, not misread.
+    for kernel in (
+        lambda a: kernel_h(a, 0),
+        lambda a: kernel_ry(a, thetas[:, None], 1),
+        lambda a: kernel_phase(a, thetas[:, None], 0),
+        lambda a: kernel_cnot(a, 0, 1),
+    ):
+        with pytest.raises(UsageError, match="amplitude axis has length 7, not a power of two"):
+            kernel(batch.T)
 
 
 def test_phase_on_real_amplitudes_is_complex():
@@ -186,15 +210,100 @@ def test_phase_on_real_amplitudes_is_complex():
         kernel_phase(np.array([0.6, 0.8]), 0.5, 0), [0.6, 0.8 * np.exp(0.5j)]
     )
     rng = np.random.default_rng(19)
-    batch = rng.normal(size=(5, 4))
-    batch /= np.linalg.norm(batch, axis=1, keepdims=True)
+    batch = rng.normal(size=(4, 5))
+    batch /= np.linalg.norm(batch, axis=0, keepdims=True)
     thetas = rng.uniform(-np.pi, np.pi, 5)
     out = kernel_phase(batch, thetas, 1)
     assert out.dtype == complex
     np.testing.assert_array_equal(out, kernel_phase(batch.astype(complex), thetas, 1))
-    for row, theta, got in zip(batch, thetas, out):
-        want = oracles.single_on(2, 1, oracles.phase_matrix(theta)) @ row
+    for column, theta, got in zip(batch.T, thetas, out.T):
+        want = oracles.single_on(2, 1, oracles.phase_matrix(theta)) @ column
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
+
+def _layouts(draw, amps):
+    """``amps`` as drawn: C-ordered, zero-stride broadcast, or transposed in memory."""
+    layout = draw(st.sampled_from(("c", "broadcast", "transposed")))
+    if layout == "broadcast":  # every column is the first one, at stride 0
+        first = amps.reshape(len(amps), -1)[:, 0]
+        return np.broadcast_to(first.reshape(first.shape + (1,) * (amps.ndim - 1)), amps.shape)
+    if layout == "transposed":
+        return np.ascontiguousarray(amps.T).T
+    return amps
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_kernels_act_column_by_column_and_match_the_matrix_oracle(data):
+    # Any n, dtype, batch shape and memory layout: every column of the output
+    # is exactly the kernel on that column alone and matches the dense
+    # matrix; the output is fresh and C-ordered, and the input is untouched.
+    n = data.draw(st.integers(1, 6), label="n")
+    sizes = st.integers(1, 4)
+    batch = data.draw(
+        st.one_of(st.just(()), st.tuples(sizes), st.tuples(sizes, sizes)), label="batch"
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    amps = rng.normal(size=(1 << n,) + batch)
+    if data.draw(st.booleans(), label="complex"):
+        amps = amps + 1j * rng.normal(size=amps.shape)
+    amps = _layouts(data.draw, amps)
+    before = amps.copy()
+    thetas = rng.uniform(-np.pi, np.pi, batch)
+
+    singles = (
+        (lambda a, th, q: kernel_h(a, q), lambda th: oracles.H2),
+        (kernel_ry, oracles.ry_matrix),
+        (kernel_phase, oracles.phase_matrix),
+    )
+    cases = [
+        (lambda a, th, k=k, q=q: k(a, th, q), lambda th, m=m, q=q: oracles.single_on(n, q, m(th)))
+        for k, m in singles
+        for q in range(n)
+    ]
+    cases += [
+        (lambda a, th, c=c, t=t: kernel_cnot(a, c, t),
+         lambda th, c=c, t=t: oracles.cnot_matrix(n, c, t))
+        for c in range(n)
+        for t in range(n)
+        if c != t
+    ]
+    for kernel, matrix in cases:
+        out = kernel(amps, thetas)
+        assert out.shape == amps.shape
+        assert out.flags.c_contiguous
+        assert not np.shares_memory(out, amps)
+        for idx in np.ndindex(*batch):
+            column = amps[(slice(None),) + idx]
+            got = out[(slice(None),) + idx]
+            np.testing.assert_array_equal(got, kernel(column, thetas[idx]))
+            np.testing.assert_allclose(
+                got, matrix(thetas[idx]) @ column, rtol=0.0, atol=1e-12
+            )
+        np.testing.assert_array_equal(amps, before)
+
+
+@pytest.mark.parametrize(
+    "kernel, bound",
+    [
+        (lambda a: kernel_cnot(a, 3, 9), 1.05),
+        (lambda a: kernel_h(a, 15), 1.05),
+        (lambda a: kernel_ry(a, 0.3, 0), 1.6),
+    ],
+    ids=["cnot", "h", "ry"],
+)
+def test_kernels_allocate_no_index_and_no_whole_size_temporary(kernel, bound):
+    # One 2**16-amplitude float64 state.  Past the output, CNOT and H may
+    # allocate nothing of size (no gather index), and RY one half-size
+    # temporary for its second product.
+    amps = np.random.default_rng(20).normal(size=1 << 16)
+    tracemalloc.start()
+    try:
+        out = kernel(amps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / out.nbytes <= bound, peak / out.nbytes
 
 
 def test_twenty_qubit_register_round_trip():
