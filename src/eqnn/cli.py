@@ -56,7 +56,6 @@ from .qnn import (
     SQUARED_ERROR,
     QnnModel,
     accuracy,
-    batch_loss,
     build_model,
     decide,
     gate_summary,
@@ -125,7 +124,7 @@ def _train_once(model: QnnModel, kind: str, dataset: Dataset, optimizer: str,
     w0 = initial_weights(model.n_weights, seed)
     config = OptimizerConfig(kind=optimizer, max_iters=iters, seed=seed)
     trace = minimize(objective, w0, config)
-    return trace, batch_loss(model, trace.final_weights, dataset, kind)
+    return trace, objective.fun(trace.final_weights)
 
 
 def _sampled_accuracy(model: QnnModel, w, dataset: Dataset, shots: int, seed: int) -> float:

@@ -18,11 +18,12 @@ only ``kind``, ``max_iters`` and ``seed`` vary between runs.
 * ``aqgd`` — gradient descent, step ``LEARNING_RATE``, on the shift-rule
   gradient, whose loss slopes come from ``qnn``'s one loss core.
 
-``make_objective`` encodes the dataset once (``qnn._encode``) and passes
-the ``(2**n, N)`` states, one column per row, to ``qnn.batch_loss`` and
-``parameter_shift_gradient`` through their private keyword ``_psi``;
-without it each encodes the dataset itself.  A gradient's 2m+1
-evaluations run as one batched walk (``qnn``).
+``make_objective`` encodes the dataset once (``qnn._encoded``) and passes
+the ``(2**n, N)`` states, one column per row, with the workspace their
+walks write into, to ``qnn.batch_loss`` and ``parameter_shift_gradient``
+through their private keyword ``_psi``; without it each encodes the
+dataset and allocates a workspace itself, for that call alone.  A
+gradient's 2m+1 evaluations run as one batched walk (``qnn``).
 
 Every run returns a ``TrainTrace``: one incumbent loss per iteration
 (COBYLA: best-so-far at each trust-region step; SPSA/AQGD: loss at the
@@ -265,19 +266,30 @@ def parameter_shift_gradient(
         raise UsageError(f"the gradient takes one weight row, got shape {w.shape}")
     shifts = math.pi / 2.0 * np.eye(len(w))
     targets = dataset.targets_array()
-    psi = qnn._encode(model, dataset.features_array()) if _psi is None else _psi
-    fitted = qnn._fitted(model, np.vstack([w, w + shifts, w - shifts]), psi, targets, kind)
+    stack = np.vstack([w, w + shifts, w - shifts])
+    if _psi is None:
+        _psi = qnn._encoded(model, dataset.features_array(), (len(stack),))
+    psi, work = _psi
+    fitted = qnn._fitted(model, stack, psi, targets, kind, work)
     _, slope = qnn._loss_and_slope(fitted[0], targets, kind)
-    df = (fitted[1 : len(w) + 1] - fitted[len(w) + 1 :]) / 2.0
-    return np.mean(slope * df, axis=1)
+    plus, minus = fitted[1 : len(w) + 1], fitted[len(w) + 1 :]
+    terms = np.subtract(plus, minus, out=plus)  # (f+ - f-) / 2 * slope, over the f+ rows
+    terms /= 2.0
+    terms *= slope
+    return np.mean(terms, axis=1)
 
 
 def make_objective(model: qnn.QnnModel, dataset, kind: str) -> Objective:
-    """Batch loss over a dataset, encoded once, as a minimization objective."""
+    """Batch loss over a dataset, encoded once, as a minimization objective.
+
+    The objective owns one workspace, sized for both its loss and its
+    gradient walks, and every evaluation writes into it.
+    """
     qnn._check_pairing(model, dataset, kind)
-    psi = qnn._encode(model, dataset.features_array())
+    batches = (1, 2 * model.n_weights + 1)
+    encoded = qnn._encoded(model, dataset.features_array(), batches)
     return Objective(
-        fun=lambda w: qnn.batch_loss(model, w, dataset, kind, _psi=psi),
+        fun=lambda w: qnn.batch_loss(model, w, dataset, kind, _psi=encoded),
         dim=model.n_weights,
-        grad=lambda w: parameter_shift_gradient(model, w, dataset, kind, _psi=psi),
+        grad=lambda w: parameter_shift_gradient(model, w, dataset, kind, _psi=encoded),
     )

@@ -21,20 +21,29 @@ the kernels take them, ``(2**n, *batch)``.  There is one evaluation path:
 the weight-free feature map is walked once per dataset (``_encode``, a
 ``(2**n, N)`` state), then the variational circuit from those states
 under a weight row or a ``(B, m)`` batch of them (``_evolve``, walking
-``(2**n, B, rows)``), in blocks of rows.  Predictions walk one weight
-row and keep the basis probabilities; a training objective walks one row
-per loss and the 2m+1 rows ``w``, ``w +- pi/2 e_j`` per gradient, and
-reduces each block by the head's readout.  A batch row is identical to
-one-at-a-time simulation, every fitted value to the public prediction,
-and a wide register needs no ``2**n x 2**n`` matrix.  One loss core,
-``_loss_and_slope``, holds each loss and its slope for ``batch_loss``
-and the shift-rule gradient alike; every class decision goes through
-``decide``.  Batch means use ``np.mean`` (pairwise summation) as the one
-documented reduction order.
+``(2**n, B, rows)``), in blocks of rows of at most 256 KB as the walk
+starts (``_BLOCK_BYTES``).  Predictions walk one weight row and keep the
+basis probabilities; a training objective walks one row per loss and the
+2m+1 rows ``w``, ``w +- pi/2 e_j`` per gradient, and reduces each block
+by the head's readout.  No walk allocates a block-sized array per gate:
+the gates write in turn into the two walk buffers of a workspace
+(``_workspace``: 2.5 blocks, two buffers and RY's half-size scratch,
+complex when the states are or the circuit has a phase gate), and the
+readout squares and transposes each block in those same buffers.  A
+training objective owns its workspace and hands it to every loss and
+gradient with the cached encoding; any other call allocates one for its
+own duration, and no returned array is a view into one.  A batch row is
+identical to one-at-a-time simulation, every fitted value to the public
+prediction, and a wide register needs no ``2**n x 2**n`` matrix.  One
+loss core, ``_loss_and_slope``, holds each loss and its slope for
+``batch_loss`` and the shift-rule gradient alike; every class decision
+goes through ``decide``.  Batch means use ``np.mean`` (pairwise
+summation) as the one documented reduction order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -152,30 +161,75 @@ def parity_signs(n_qubits: int) -> np.ndarray:
 # Simulation
 
 
-def _walk(gates, amps: np.ndarray) -> np.ndarray:
+def _walk_dtype(dtype, gates) -> np.dtype:
+    """The dtype a walk of ``gates`` from ``dtype`` ends in: complex past a phase gate."""
+    return np.dtype(complex if any(g.name == "phase" for g in gates) else dtype)
+
+
+def _workspace(n_amplitudes: int, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat bytes to walk blocks of up to ``n_amplitudes`` of ``dtype`` without allocating.
+
+    Two walk buffers of one block each, which the gates write in turn,
+    and half a block of scratch for RY's second product: 2.5 blocks, as
+    three arrays, so a walk's result keeps only its own buffer alive.
+    """
+    size = n_amplitudes * np.dtype(dtype).itemsize
+    return np.empty(size, np.uint8), np.empty(size, np.uint8), np.empty(size // 2, np.uint8)
+
+
+def _as(buffer: np.ndarray, shape: tuple, dtype) -> np.ndarray:
+    """The leading bytes of the flat ``buffer`` as a C-ordered ``dtype`` array of ``shape``."""
+    dtype = np.dtype(dtype)
+    return buffer[: math.prod(shape) * dtype.itemsize].view(dtype).reshape(shape)
+
+
+def _spare(work, amps: np.ndarray) -> np.ndarray:
+    """The walk buffer of ``work`` that does not hold ``amps``."""
+    first, second, _ = work
+    return second if np.may_share_memory(first, amps) else first
+
+
+def _walk(gates, amps: np.ndarray, work=None) -> np.ndarray:
     """Apply bound gates in order to ``amps``, real or complex (a phase gate promotes).
 
     Gates bound to a batch of rows turn ``amps[:, b]``, shape ``(2**n, ...)``,
-    by row ``b``'s angles.
+    by row ``b``'s angles.  Gate ``k`` writes walk buffer ``k % 2`` of
+    ``work`` (a ``_workspace`` for at least ``amps.size`` amplitudes), so
+    the result is a view into it; without ``work`` the walk allocates one.
     """
-    for g in gates:
+    if work is None:
+        work = _workspace(amps.size, _walk_dtype(amps.dtype, gates))
+    views = {}  # dtype -> (buffer 0, buffer 1, scratch) shaped for this block
+    for k, g in enumerate(gates):
         angle = g.angle
         if np.ndim(angle):  # one angle per batch row, shared by the axes after it
             angle = angle.reshape(angle.shape + (1,) * (amps.ndim - 2))
-        amps = _apply(amps, g.name, g.qubits, angle)
+        dtype = np.dtype(complex) if g.name == "phase" else amps.dtype
+        if dtype not in views:
+            half = (amps.shape[0] // 2,) + amps.shape[1:]
+            first, second, scratch = work
+            views[dtype] = (
+                _as(first, amps.shape, dtype),
+                _as(second, amps.shape, dtype),
+                _as(scratch, half, dtype),
+            )
+        out, scratch = views[dtype][k % 2], views[dtype][2]
+        amps = _apply(amps, g.name, g.qubits, angle, out, scratch)
     return amps
 
 
-def _amplitudes(circuit: Circuit, inputs, weights) -> np.ndarray:
+def _amplitudes(circuit: Circuit, inputs, weights, work=None) -> np.ndarray:
     """Bind ``circuit`` and walk it from the all-zeros state.
 
     One input row gives ``2**n`` amplitudes; a ``(batch, n_inputs)``
     batch gives ``(2**n, batch)``, the amplitude axis first.  The start is
-    float64, and the walk turns complex at its first phase gate.
+    float64, broadcast over the batch, and the walk turns complex at its
+    first phase gate.  The result is a view into ``work`` (see ``_walk``).
     """
-    amps = np.zeros((1 << circuit.n_qubits,) + np.shape(inputs)[:-1])
-    amps[0] = 1.0
-    return _walk(bind(circuit, inputs, weights), amps)
+    shape = (1 << circuit.n_qubits,) + np.shape(inputs)[:-1]
+    zero = np.zeros((shape[0],) + (1,) * (len(shape) - 1))
+    zero[0] = 1.0
+    return _walk(bind(circuit, inputs, weights), np.broadcast_to(zero, shape), work)
 
 
 def simulate(circuit: Circuit, inputs, weights) -> StateVector:
@@ -184,44 +238,83 @@ def simulate(circuit: Circuit, inputs, weights) -> StateVector:
 
 
 # A batch is walked in blocks of rows of at most this many bytes as the
-# walk starts (a phase gate doubles them).  Kernel outputs that small are
-# reused from malloc's heap; whole-batch ones would be mapped and unmapped
-# afresh on every gate.
-_BLOCK_BYTES = 1 << 16
+# walk starts (a phase gate doubles them).  Every gate of a block writes
+# into a workspace allocated once per call or per training objective, so
+# the size trades per-call overhead against memory, not against page faults.
+_BLOCK_BYTES = 1 << 18
+
+
+def _block_rows(row_bytes: int) -> int:
+    """Rows in one ``_BLOCK_BYTES`` block, at least one."""
+    return max(1, _BLOCK_BYTES // row_bytes)
 
 
 def _blocks(n_rows: int, row_bytes: int) -> list[slice]:
     """Slices of ``_BLOCK_BYTES`` worth of rows, at least one row each; one slice for 0 rows."""
-    step = max(1, _BLOCK_BYTES // row_bytes)
+    step = _block_rows(row_bytes)
     return [slice(i, i + step) for i in range(0, max(n_rows, 1), step)]
 
 
 def _encode(model: QnnModel, X) -> np.ndarray:
     """The feature-map state of each input row, one per column: shape ``(2**n, N)``."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    blocks = _blocks(len(X), 8 << model.n_qubits)  # 8 B per float64 amplitude
-    return np.hstack([_amplitudes(model.feature_map, X[rows], ()) for rows in blocks])
+    dim, gates = 1 << model.n_qubits, model.feature_map.gates
+    row_bytes = 8 * dim  # 8 B per float64 amplitude
+    psi = np.empty((dim, len(X)), _walk_dtype(float, gates))
+    work = _workspace(dim * min(len(X), _block_rows(row_bytes)), psi.dtype)
+    for rows in _blocks(len(X), row_bytes):
+        psi[:, rows] = _amplitudes(model.feature_map, X[rows], (), work)
+    return psi
 
 
-def _evolve(model: QnnModel, weights, psi: np.ndarray, readout=None) -> np.ndarray:
+def _evolve_workspace(model: QnnModel, psi: np.ndarray, batches) -> tuple:
+    """A ``_workspace`` for ``_evolve`` on ``psi`` under weight batches of these sizes."""
+    dim, n_rows = psi.shape
+    largest = max(
+        dim * b * min(n_rows, _block_rows(b * psi.itemsize * dim)) for b in batches
+    )
+    return _workspace(largest, _walk_dtype(psi.dtype, model.variational.gates))
+
+
+def _encoded(model: QnnModel, X, batches) -> tuple[np.ndarray, tuple]:
+    """``_encode(model, X)`` and an ``_evolve_workspace`` for it: what ``_psi`` carries."""
+    psi = _encode(model, X)
+    return psi, _evolve_workspace(model, psi, batches)
+
+
+def _evolve(model: QnnModel, weights, psi: np.ndarray, readout=None, work=None) -> np.ndarray:
     """Walk the variational circuit from the encoded states ``psi`` under each weight row.
 
     ``weights`` is a ``(B, m)`` batch, or one row taken as B = 1, and ``psi``
     is ``(2**n, N)``.  Returns the ``(B, N, 2**n)`` probabilities, or their
     ``(B, N)`` products with ``readout``.  The circuit is bound once and
     walked from ``(2**n, B, rows)``: B copies of each block of columns of
-    ``psi``.  Each block's amplitude axis moves back to last, contiguous,
-    before the readout.
+    ``psi``.  Each block's squared amplitudes go to the spare walk buffer
+    of ``work`` (an ``_evolve_workspace``, allocated here if not given),
+    and move back to amplitude-last, contiguous, into the other one before
+    the readout.
     """
     gates = bind(model.variational, (), weights)
     batch = len(weights) if np.ndim(weights) == 2 else 1
     dim, n_rows = psi.shape
+    if work is None:
+        work = _evolve_workspace(model, psi, (batch,))
     out = np.empty((batch, n_rows) + ((dim,) if readout is None else ()))
     for rows in _blocks(n_rows, batch * psi.itemsize * dim):
         block = psi[:, None, rows]
-        amps = _walk(gates, np.broadcast_to(block, (dim, batch, block.shape[2])))
-        probs = np.ascontiguousarray(np.moveaxis(np.abs(amps) ** 2, 0, -1))
-        out[:, rows] = probs if readout is None else probs @ readout
+        amps = _walk(gates, np.broadcast_to(block, (dim, batch, block.shape[2])), work)
+        squares = _as(_spare(work, amps), amps.shape, float)
+        if np.iscomplexobj(amps):
+            np.square(np.abs(amps, out=squares), out=squares)
+        else:
+            np.square(amps, out=squares)
+        probs = np.moveaxis(squares, 0, -1)
+        if readout is None:
+            out[:, rows] = probs
+        else:
+            flat = _as(_spare(work, squares), probs.shape, float)
+            np.copyto(flat, probs)
+            out[:, rows] = flat @ readout
     return out
 
 
@@ -276,17 +369,17 @@ def _check_pairing(model: QnnModel, dataset, kind: str):
         )
 
 
-def _fitted(model: QnnModel, weights, psi: np.ndarray, targets, kind: str):
+def _fitted(model: QnnModel, weights, psi: np.ndarray, targets, kind: str, work=None):
     """Fitted values of every encoded row under every weight row: shape ``(B, N)``.
 
-    ``weights`` is a ``(B, m)`` batch and ``psi`` comes from ``_encode``;
-    a fitted value is y' for squared error and P(label) for cross-entropy,
-    turned from P(class 0) in place.
+    ``weights`` is a ``(B, m)`` batch, ``psi`` comes from ``_encode`` and
+    ``work`` is ``_evolve``'s; a fitted value is y' for squared error and
+    P(label) for cross-entropy, turned from P(class 0) in place.
     """
     signs = parity_signs(model.n_qubits)
     if kind == SQUARED_ERROR:
-        return _evolve(model, weights, psi, signs)
-    fitted = _evolve(model, weights, psi, (signs > 0).astype(float))
+        return _evolve(model, weights, psi, signs, work)
+    fitted = _evolve(model, weights, psi, (signs > 0).astype(float), work)
     np.subtract(1.0, fitted, out=fitted, where=targets == 1)
     return fitted
 
@@ -308,12 +401,13 @@ def _loss_and_slope(fitted: np.ndarray, targets: np.ndarray, kind: str):
 def batch_loss(model: QnnModel, w, dataset, kind: str, *, _psi=None) -> float:
     """Arithmetic mean of per-sample losses over a dataset (see ``_loss_and_slope``).
 
-    ``_psi`` is the dataset's ``_encode`` when the caller has cached it.
+    ``_psi`` is the dataset's ``_encoded`` pair (states and workspace) when
+    the caller has cached it.
     """
     _check_pairing(model, dataset, kind)
     targets = dataset.targets_array()
-    psi = _encode(model, dataset.features_array()) if _psi is None else _psi
-    fitted = _fitted(model, np.asarray(w, dtype=float)[None], psi, targets, kind)[0]
+    psi, work = _encoded(model, dataset.features_array(), (1,)) if _psi is None else _psi
+    fitted = _fitted(model, np.asarray(w, dtype=float)[None], psi, targets, kind, work)[0]
     return float(np.mean(_loss_and_slope(fitted, targets, kind)[0]))
 
 

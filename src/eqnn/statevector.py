@@ -10,11 +10,12 @@ Two layers over one dispatch:
 * ``kernel_*`` functions operate on raw real or complex arrays of shape
   ``(2**n, *batch)``: the amplitude axis first, batch axes trailing, and
   an angle shaped like the batch (or a scalar), so a batch of states is
-  transformed in one vectorized call.  Each returns a fresh C-ordered
-  array, so the two halves of every qubit's pair are whole slabs; CNOT
-  copies and flips halves, with no index array.  H, RY and CNOT keep a
-  real input real; ``kernel_phase`` promotes its output to complex.
-  These are the hot path for training.
+  transformed in one vectorized call.  Each writes a C-ordered output,
+  fresh or the caller's ``out``, so the two halves of every qubit's pair
+  are whole slabs; CNOT copies and flips halves, with no index array.
+  ``kernel_ry`` also takes a half-size ``scratch`` for its second
+  product.  H, RY and CNOT keep a real input real; ``kernel_phase``
+  promotes its output to complex.  These are the hot path for training.
 * ``StateVector`` plus ``zero_state`` / ``apply_single`` / ``apply_cnot``
   / ``probabilities`` wrap the kernels in a validated value type for
   single-state work.
@@ -23,7 +24,8 @@ Two layers over one dispatch:
 ``ry``, ``cnot``) to its kernel; the value-type API and the circuit
 walk in ``qnn`` both go through it.
 
-All operations are pure; nothing mutates its input.
+All operations are pure unless given ``out`` (or ``scratch``), which must
+not overlap the input; nothing mutates its input.
 """
 
 from __future__ import annotations
@@ -56,43 +58,71 @@ def _split(amps: np.ndarray, qubit: int) -> np.ndarray:
     return amps.reshape((pre, 2, post) + amps.shape[1:])
 
 
-def kernel_h(amps: np.ndarray, qubit: int) -> np.ndarray:
+def _target(amps: np.ndarray, given, shape: tuple, dtype, name: str) -> np.ndarray:
+    """``given``, checked to be a C-ordered ``dtype`` array of ``shape`` apart from ``amps``.
+
+    Without ``given``, a fresh one.
+    """
+    if given is None:
+        return np.empty(shape, dtype)
+    if given.shape != shape or given.dtype != dtype or not given.flags.c_contiguous:
+        raise UsageError(
+            f"{name} must be a C-ordered {np.dtype(dtype)} array of shape {shape}, "
+            f"got {given.dtype} of shape {given.shape}"
+        )
+    if not given.flags.writeable or np.may_share_memory(given, amps):
+        raise UsageError(f"{name} must be writeable and must not overlap the input")
+    return given
+
+
+def kernel_h(amps: np.ndarray, qubit: int, out=None) -> np.ndarray:
     """Hadamard on ``qubit``."""
     a = _split(amps, qubit)
-    out = np.empty(a.shape, a.dtype)
+    result = _target(amps, out, amps.shape, amps.dtype, "out")
+    o = result.reshape(a.shape)
     for half, combine in ((0, np.add), (1, np.subtract)):
-        combine(a[:, 0], a[:, 1], out=out[:, half])
-        np.multiply(out[:, half], _SQRT_HALF, out=out[:, half])
-    return out.reshape(amps.shape)
+        combine(a[:, 0], a[:, 1], out=o[:, half])
+        np.multiply(o[:, half], _SQRT_HALF, out=o[:, half])
+    return result
 
 
-def kernel_phase(amps: np.ndarray, theta, qubit: int) -> np.ndarray:
+def kernel_phase(amps: np.ndarray, theta, qubit: int, out=None) -> np.ndarray:
     """Phase gate diag(1, e^{i*theta}) on ``qubit``; the output is complex."""
     a = _split(amps, qubit)
-    out = np.empty(a.shape, complex)
-    out[:, 0] = a[:, 0]
+    result = _target(amps, out, amps.shape, complex, "out")
+    o = result.reshape(a.shape)
+    o[:, 0] = a[:, 0]
     # Broadcast before the multiply: a one-element product that the ufunc must
     # broadcast itself skips numpy's SIMD loop and rounds 1 ulp apart.
-    phase = np.broadcast_to(np.exp(1j * np.asarray(theta, dtype=float)), out[:, 1].shape)
-    np.multiply(a[:, 1], phase, out=out[:, 1])
-    return out.reshape(amps.shape)
+    phase = np.broadcast_to(np.exp(1j * np.asarray(theta, dtype=float)), o[:, 1].shape)
+    np.multiply(a[:, 1], phase, out=o[:, 1])
+    return result
 
 
-def kernel_ry(amps: np.ndarray, theta, qubit: int) -> np.ndarray:
-    """RY rotation [[cos t/2, -sin t/2], [sin t/2, cos t/2]] on ``qubit``."""
+def kernel_ry(amps: np.ndarray, theta, qubit: int, out=None, scratch=None) -> np.ndarray:
+    """RY rotation [[cos t/2, -sin t/2], [sin t/2, cos t/2]] on ``qubit``.
+
+    ``scratch``, shaped like half the amplitudes, ``(2**(n-1), *batch)``,
+    holds the second product; without it one is allocated.
+    """
     a = _split(amps, qubit)
     th = np.asarray(theta, dtype=float)
     c, s = np.cos(th / 2.0), np.sin(th / 2.0)
     v0, v1 = a[:, 0], a[:, 1]
-    out = np.empty(a.shape, a.dtype)
-    o0, o1 = out[:, 0], out[:, 1]
-    tmp = np.multiply(s, v1)
+    result = _target(amps, out, amps.shape, amps.dtype, "out")
+    o = result.reshape(a.shape)
+    o0, o1 = o[:, 0], o[:, 1]
+    half = (amps.shape[0] // 2,) + amps.shape[1:]
+    tmp = _target(amps, scratch, half, amps.dtype, "scratch").reshape(v1.shape)
+    if scratch is not None and np.may_share_memory(tmp, result):
+        raise UsageError("scratch must not overlap out")
+    np.multiply(s, v1, out=tmp)
     np.subtract(np.multiply(c, v0, out=o0), tmp, out=o0)
     np.add(np.multiply(s, v0, out=o1), np.multiply(c, v1, out=tmp), out=o1)
-    return out.reshape(amps.shape)
+    return result
 
 
-def kernel_cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
+def kernel_cnot(amps: np.ndarray, control: int, target: int, out=None) -> np.ndarray:
     """CNOT: flip ``target`` on the amplitudes whose ``control`` bit is 1.
 
     On the ``(2,)*n + batch`` view (qubit ``q`` on axis ``n - 1 - q``) it copies
@@ -105,24 +135,29 @@ def kernel_cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
     if control == target:
         raise UsageError(f"cnot control and target must differ (both {control})")
     a = amps.reshape((2,) * n + amps.shape[1:])
-    out = np.empty(a.shape, a.dtype)
+    result = _target(amps, out, amps.shape, amps.dtype, "out")
+    o = result.reshape(a.shape)
     c, t = n - 1 - control, n - 1 - target
     lead = (slice(None),) * c
-    out[lead + (0,)] = a[lead + (0,)]
-    out[lead + (1,)] = np.flip(a[lead + (1,)], t - (t > c))
-    return out.reshape(amps.shape)
+    o[lead + (0,)] = a[lead + (0,)]
+    o[lead + (1,)] = np.flip(a[lead + (1,)], t - (t > c))
+    return result
 
 
-def _apply(amps: np.ndarray, name: str, qubits: tuple[int, ...], angle=None) -> np.ndarray:
-    """Apply the gate called ``name`` to ``qubits`` of ``amps``."""
+def _apply(amps: np.ndarray, name: str, qubits: tuple[int, ...], angle=None,
+           out=None, scratch=None) -> np.ndarray:
+    """Apply the gate called ``name`` to ``qubits`` of ``amps``, into ``out`` if given.
+
+    ``scratch`` is RY's half-size second product; the other gates ignore it.
+    """
     if name == "h":
-        return kernel_h(amps, qubits[0])
+        return kernel_h(amps, qubits[0], out)
     if name == "phase":
-        return kernel_phase(amps, angle, qubits[0])
+        return kernel_phase(amps, angle, qubits[0], out)
     if name == "ry":
-        return kernel_ry(amps, angle, qubits[0])
+        return kernel_ry(amps, angle, qubits[0], out, scratch)
     if name == "cnot":
-        return kernel_cnot(amps, qubits[0], qubits[1])
+        return kernel_cnot(amps, qubits[0], qubits[1], out)
     raise UsageError(f"unknown gate {name!r}")
 
 

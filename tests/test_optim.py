@@ -260,22 +260,62 @@ def test_reported_evaluations_equal_dataset_passes(monkeypatch, kind):
 
 
 def test_stacked_gradient_memory_stays_below_one_amplitude_stack():
-    # eqnn3 at 8000 rows: the 2m+1 = 17 weight rows are walked in row blocks,
-    # so the peak is about two (17, 8000) arrays of fitted values (2.2 MB
-    # measured), below the 4.35 MB that an unblocked (17, 8000, 4) float64
-    # stack of amplitudes would take on its own.
+    # eqnn3 at 8000 rows: the 2m+1 = 17 weight rows are walked in row blocks
+    # through the objective's 2.5-block workspace, so the peak, the encoding
+    # and the workspace included, is about one (17, 8000) array of fitted
+    # values on top of those (2.5 MB measured), below the 4.35 MB that an
+    # unblocked (17, 8000, 4) float64 stack of amplitudes would take alone.
     model = build_model("eqnn3")
     dataset = gen_two_class_usage(per_class=4000, seed=5)
-    objective = make_objective(model, dataset, CROSS_ENTROPY)
     w = initial_weights(model.n_weights, seed=5)
     rows = 2 * model.n_weights + 1
     tracemalloc.start()
     try:
+        objective = make_objective(model, dataset, CROSS_ENTROPY)
         objective.grad(w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 3 * rows * len(dataset) * 8 < rows * len(dataset) * 4 * 8, peak
+
+
+def _owner(array: np.ndarray) -> np.ndarray:
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+@pytest.mark.parametrize("name, call", [
+    ("eqnn3", lambda objective, w: objective.fun(w)),
+    ("benchmark", lambda objective, w: objective.grad(w)),
+])
+def test_objective_writes_every_kernel_output_into_its_own_workspace(monkeypatch, name, call):
+    # After one warm-up call, an 8000-row loss (eqnn3, real, one block) and
+    # gradient (benchmark, complex, many blocks) write every gate's output
+    # into the two walk buffers that the objective owns and already wrote
+    # in the warm-up: no kernel returns a fresh array.
+    outputs = []
+    original = qnn._apply
+
+    def spy(*args, **kwargs):
+        outputs.append(original(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(qnn, "_apply", spy)
+    model = build_model(name)
+    dataset = gen_two_class_usage(per_class=4000, seed=6)
+    objective = make_objective(model, dataset, CROSS_ENTROPY)
+    w = initial_weights(model.n_weights, seed=6)
+    outputs.clear()  # the encoding's walk
+    call(objective, w)
+    buffers = {id(_owner(out)): _owner(out) for out in outputs}
+    assert len(buffers) == 2
+    outputs.clear()
+    call(objective, w)
+    assert len(outputs) >= len(model.variational.gates)
+    for out in outputs:
+        assert any(np.shares_memory(out, buffer) for buffer in buffers.values())
+        assert id(_owner(out)) in buffers
 
 
 def test_aqgd_requires_gradient():

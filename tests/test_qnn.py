@@ -240,10 +240,12 @@ def test_batch_rows_equal_single_state_simulation(data):
         np.testing.assert_allclose(row, np.abs(dense) ** 2, rtol=0.0, atol=1e-12)
 
 
-def test_batch_walked_in_blocks_equals_single_state_simulation():
-    # The benchmark's 2 qubits encode 2048 rows per block from a float64
-    # start and walk the weights 1024 complex rows per block; 2051 rows
-    # span two and three blocks, the last a partial one.
+def test_batch_walked_in_blocks_equals_single_state_simulation(monkeypatch):
+    # At 64 KB blocks the benchmark's 2 qubits encode 2048 rows per block
+    # from a float64 start and walk the weights 1024 complex rows per block;
+    # 2051 rows span two and three blocks, the last a partial one.  (At the
+    # default block size they would take one block each.)
+    monkeypatch.setattr(qnn, "_BLOCK_BYTES", 1 << 16)
     model = build_model("benchmark")
     X = np.random.default_rng(3).uniform(-1.0, 1.0, size=(2051, model.n_inputs))
     w = np.linspace(-1.0, 1.0, model.n_weights)

@@ -283,6 +283,98 @@ def test_kernels_act_column_by_column_and_match_the_matrix_oracle(data):
         np.testing.assert_array_equal(amps, before)
 
 
+@settings(max_examples=100)
+@given(data=st.data())
+def test_kernels_write_into_a_given_out_exactly_as_into_a_fresh_one(data):
+    # Any n, dtype, batch shape and input layout: a kernel given ``out``
+    # (and RY its half-size ``scratch``) fills it with exactly the fresh
+    # output, returns it, and leaves the input untouched.  An ``out`` or
+    # ``scratch`` that may overlap the input, or has the wrong shape,
+    # dtype or order, is refused.
+    n = data.draw(st.integers(1, 5), label="n")
+    batch = data.draw(st.one_of(st.just(()), st.tuples(st.integers(1, 4))), label="batch")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    amps = rng.normal(size=(1 << n,) + batch)
+    if data.draw(st.booleans(), label="complex"):
+        amps = amps + 1j * rng.normal(size=amps.shape)
+    amps = _layouts(data.draw, amps)
+    before = amps.copy()
+    theta = rng.uniform(-np.pi, np.pi, batch)
+    q = data.draw(st.integers(0, n - 1), label="qubit")
+    half = (1 << (n - 1),) + batch
+
+    kernels = {
+        "h": (lambda a, **kw: kernel_h(a, q, **kw), amps.dtype),
+        "ry": (lambda a, **kw: kernel_ry(a, theta, q, **kw), amps.dtype),
+        "phase": (lambda a, **kw: kernel_phase(a, theta, q, **kw), np.dtype(complex)),
+    }
+    if n > 1:
+        kernels["cnot"] = (lambda a, **kw: kernel_cnot(a, q, (q + 1) % n, **kw), amps.dtype)
+    for name, (kernel, dtype) in kernels.items():
+        fresh = kernel(amps)
+        out = np.full(amps.shape, np.nan, dtype)
+        extra = {"scratch": np.full(half, np.nan, dtype)} if name == "ry" else {}
+        assert kernel(amps, out=out, **extra) is out
+        np.testing.assert_array_equal(out, fresh)
+        np.testing.assert_array_equal(amps, before)
+
+        # Wrong shape, dtype or order, the input itself, and an array that
+        # overlaps its input by all but one element: each is refused.
+        wrong = [
+            np.empty(amps.shape + (1,), dtype),
+            np.empty((2 * len(amps),) + batch, dtype),
+            np.empty(amps.shape, np.float32),
+        ]
+        transposed = np.empty(amps.shape[::-1], dtype).T
+        if not transposed.flags.c_contiguous:  # a length-1 axis may leave it C-ordered
+            wrong.append(transposed)
+        if dtype == complex:
+            wrong.append(np.empty(amps.shape, float))
+        if amps.flags.c_contiguous and amps.flags.writeable and amps.dtype == dtype:
+            wrong.append(amps)
+        for bad in wrong:
+            with pytest.raises(UsageError, match="out must"):
+                kernel(amps, out=bad, **extra)
+        shifted = np.empty(amps.size + 1, dtype)
+        shifted[1:] = amps.ravel()
+        source, overlapping = shifted[1:].reshape(amps.shape), shifted[:-1].reshape(amps.shape)
+        with pytest.raises(UsageError, match="must not overlap the input"):
+            kernel(source, out=overlapping, **extra)
+        if name == "ry":
+            fresh_out = np.empty(amps.shape, dtype)
+            for bad in (np.empty(amps.shape, dtype), np.empty(half, np.float32)):
+                with pytest.raises(UsageError, match="scratch must"):
+                    kernel(amps, out=fresh_out, scratch=bad)
+            source = np.empty(amps.size, dtype)
+            source[:] = amps.ravel()
+            with pytest.raises(UsageError, match="scratch must .*not overlap the input"):
+                kernel(source.reshape(amps.shape), out=fresh_out,
+                       scratch=source[: amps.size // 2].reshape(half))
+            with pytest.raises(UsageError, match="scratch must not overlap out"):
+                kernel(amps, out=fresh_out,
+                       scratch=fresh_out.reshape(-1)[: amps.size // 2].reshape(half))
+        np.testing.assert_array_equal(amps, before)
+
+
+def test_kernels_given_out_allocate_nothing_of_size():
+    # With ``out`` (and RY's ``scratch``) supplied, a kernel on one
+    # 2**16-amplitude float64 state allocates no array of its size.
+    amps = np.random.default_rng(21).normal(size=1 << 16)
+    out, scratch = np.empty_like(amps), np.empty(len(amps) // 2)
+    for kernel in (
+        lambda: kernel_cnot(amps, 3, 9, out=out),
+        lambda: kernel_h(amps, 15, out=out),
+        lambda: kernel_ry(amps, 0.3, 0, out=out, scratch=scratch),
+    ):
+        tracemalloc.start()
+        try:
+            kernel()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < amps.nbytes / 100, peak
+
+
 @pytest.mark.parametrize(
     "kernel, bound",
     [
