@@ -18,12 +18,13 @@ only ``kind``, ``max_iters`` and ``seed`` vary between runs.
 * ``aqgd`` — gradient descent, step ``LEARNING_RATE``, on the shift-rule
   gradient, whose loss slopes come from ``qnn``'s one loss core.
 
-``make_objective`` encodes the dataset once (``qnn._encoded``) and passes
-the ``(2**n, N)`` states, one column per row, with the workspace their
-walks write into, to ``qnn.batch_loss`` and ``parameter_shift_gradient``
-through their private keyword ``_psi``; without it each encodes the
-dataset and allocates a workspace itself, for that call alone.  A
-gradient's 2m+1 evaluations run as one batched walk (``qnn``).
+``make_objective`` builds one ``qnn._Problem`` per objective: the model,
+dataset and loss validated once, the ``(2**n, N)`` encoded states, the
+workspace their walks write into, the targets and the head's readout.
+It hands that problem to ``qnn.batch_loss`` and
+``parameter_shift_gradient`` through their private keyword ``_problem``;
+without it each builds one for that call alone.  A gradient's 2m+1
+evaluations run as one batched walk (``qnn``).
 
 Every run returns a ``TrainTrace``: one incumbent loss per iteration
 (COBYLA: best-so-far at each trust-region step; SPSA/AQGD: loss at the
@@ -251,27 +252,25 @@ def _check_shift_precondition(model: qnn.QnnModel) -> None:
 
 
 def parameter_shift_gradient(
-    model: qnn.QnnModel, w, dataset, kind: str, *, _psi=None
+    model: qnn.QnnModel, w, dataset, kind: str, *, _problem=None
 ) -> np.ndarray:
     """Exact dL/dw via two +-pi/2-shifted evaluations per weight.
 
     The derivative of each fitted value, (f(w_j + pi/2) - f(w_j - pi/2)) / 2,
     times the loss's slope at f(w) from ``qnn._loss_and_slope``, averaged.
     The stack ``w``, ``w + pi/2 e_j``, ``w - pi/2 e_j`` is one walk.
+    ``_problem`` is the caller's ``qnn._Problem`` for these arguments, with
+    a workspace for 2m+1 weight rows; without it one is built for this call.
     """
-    qnn._check_pairing(model, dataset, kind)
+    if _problem is None:
+        _problem = qnn._Problem(model, dataset, kind, (2 * model.n_weights + 1,))
     _check_shift_precondition(model)
     w = np.asarray(w, dtype=float)
     if w.ndim != 1:
         raise UsageError(f"the gradient takes one weight row, got shape {w.shape}")
     shifts = math.pi / 2.0 * np.eye(len(w))
-    targets = dataset.targets_array()
-    stack = np.vstack([w, w + shifts, w - shifts])
-    if _psi is None:
-        _psi = qnn._encoded(model, dataset.features_array(), (len(stack),))
-    psi, work = _psi
-    fitted = qnn._fitted(model, stack, psi, targets, kind, work)
-    _, slope = qnn._loss_and_slope(fitted[0], targets, kind)
+    fitted = _problem.fitted(np.vstack([w, w + shifts, w - shifts]))
+    _, slope = qnn._loss_and_slope(fitted[0], _problem.targets, kind)
     plus, minus = fitted[1 : len(w) + 1], fitted[len(w) + 1 :]
     terms = np.subtract(plus, minus, out=plus)  # (f+ - f-) / 2 * slope, over the f+ rows
     terms /= 2.0
@@ -280,16 +279,14 @@ def parameter_shift_gradient(
 
 
 def make_objective(model: qnn.QnnModel, dataset, kind: str) -> Objective:
-    """Batch loss over a dataset, encoded once, as a minimization objective.
+    """Batch loss over a dataset as a minimization objective on one ``qnn._Problem``.
 
-    The objective owns one workspace, sized for both its loss and its
-    gradient walks, and every evaluation writes into it.
+    Every evaluation walks from that problem and writes into its one
+    workspace, sized for both the loss and the gradient walks.
     """
-    qnn._check_pairing(model, dataset, kind)
-    batches = (1, 2 * model.n_weights + 1)
-    encoded = qnn._encoded(model, dataset.features_array(), batches)
+    problem = qnn._Problem(model, dataset, kind, (1, 2 * model.n_weights + 1))
     return Objective(
-        fun=lambda w: qnn.batch_loss(model, w, dataset, kind, _psi=encoded),
+        fun=lambda w: qnn.batch_loss(model, w, dataset, kind, _problem=problem),
         dim=model.n_weights,
-        grad=lambda w: parameter_shift_gradient(model, w, dataset, kind, _psi=encoded),
+        grad=lambda w: parameter_shift_gradient(model, w, dataset, kind, _problem=problem),
     )

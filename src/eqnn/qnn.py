@@ -15,24 +15,27 @@ Model zoo:
 * ``eqnn1/2/3`` — economical encoder + 1/2/3-rep RY ansatz, parity head.
 
 Every evaluation goes through one gate walk, ``_walk``, over gates that
-``bind`` evaluated for one row or a batch of rows, from a float64 |0>
-that turns complex only at a phase gate.  Amplitudes are laid out as
-the kernels take them, ``(2**n, *batch)``.  There is one evaluation path:
-the weight-free feature map is walked once per dataset (``_encode``, a
-``(2**n, N)`` state), then the variational circuit from those states
-under a weight row or a ``(B, m)`` batch of them (``_evolve``, walking
-``(2**n, B, rows)``), in blocks of rows of at most 256 KB as the walk
-starts (``_BLOCK_BYTES``).  Predictions walk one weight row and keep the
+``bind`` evaluated for one row or a batch of rows, in one dtype from
+start to end: float64, or complex if a walked gate is a phase gate
+(``_walk_dtype``).  Before that gate every imaginary part is +0, so a
+complex start computes the same values as a real one.  Amplitudes are
+laid out as the kernels take them, ``(2**n, *batch)``.  There is one
+evaluation path: the weight-free feature map is walked once per dataset
+(``_encode``, a ``(2**n, N)`` state), then the variational circuit from
+those states under a weight row or a ``(B, m)`` batch of them
+(``_evolve``, walking ``(2**n, B, rows)``), in blocks of rows of at most
+256 KB (``_BLOCK_BYTES``).  Predictions walk one weight row and keep the
 basis probabilities; a training objective walks one row per loss and the
 2m+1 rows ``w``, ``w +- pi/2 e_j`` per gradient, and reduces each block
 by the head's readout.  No walk allocates a block-sized array per gate:
 the gates write in turn into the two walk buffers of a workspace
-(``_workspace``: 2.5 blocks, two buffers and RY's half-size scratch,
-complex when the states are or the circuit has a phase gate), and the
-readout squares and transposes each block in those same buffers.  A
-training objective owns its workspace and hands it to every loss and
-gradient with the cached encoding; any other call allocates one for its
-own duration, and no returned array is a view into one.  A batch row is
+(``_workspace``: 2.5 blocks, two buffers and RY's half-size scratch, of
+the walk's dtype), and the readout squares and transposes each block in
+those same buffers.  A training problem (``_Problem``: one model, dataset
+and loss kind) is validated, encoded and given its readout and its
+workspace once, and every loss and gradient of a training objective
+walks from it.  Any other call allocates a workspace for its own
+duration, and no returned array is a view into one.  A batch row is
 identical to one-at-a-time simulation, every fitted value to the public
 prediction, and a wide register needs no ``2**n x 2**n`` matrix.  One
 loss core, ``_loss_and_slope``, holds each loss and its slope for
@@ -162,7 +165,7 @@ def parity_signs(n_qubits: int) -> np.ndarray:
 
 
 def _walk_dtype(dtype, gates) -> np.dtype:
-    """The dtype a walk of ``gates`` from ``dtype`` ends in: complex past a phase gate."""
+    """The one dtype of a walk of ``gates`` from ``dtype``: complex if any is a phase gate."""
     return np.dtype(complex if any(g.name == "phase" for g in gates) else dtype)
 
 
@@ -190,31 +193,24 @@ def _spare(work, amps: np.ndarray) -> np.ndarray:
 
 
 def _walk(gates, amps: np.ndarray, work=None) -> np.ndarray:
-    """Apply bound gates in order to ``amps``, real or complex (a phase gate promotes).
+    """Apply bound gates in order to ``amps``, of the walk's one dtype (see ``_walk_dtype``).
 
     Gates bound to a batch of rows turn ``amps[:, b]``, shape ``(2**n, ...)``,
     by row ``b``'s angles.  Gate ``k`` writes walk buffer ``k % 2`` of
-    ``work`` (a ``_workspace`` for at least ``amps.size`` amplitudes), so
-    the result is a view into it; without ``work`` the walk allocates one.
+    ``work`` (a ``_workspace`` for at least ``amps.size`` amplitudes of
+    ``amps.dtype``), so the result is a view into it; without ``work`` the
+    walk allocates one.
     """
     if work is None:
-        work = _workspace(amps.size, _walk_dtype(amps.dtype, gates))
-    views = {}  # dtype -> (buffer 0, buffer 1, scratch) shaped for this block
+        work = _workspace(amps.size, amps.dtype)
+    first, second, scratch = work
+    buffers = _as(first, amps.shape, amps.dtype), _as(second, amps.shape, amps.dtype)
+    scratch = _as(scratch, (amps.shape[0] // 2,) + amps.shape[1:], amps.dtype)
     for k, g in enumerate(gates):
         angle = g.angle
         if np.ndim(angle):  # one angle per batch row, shared by the axes after it
             angle = angle.reshape(angle.shape + (1,) * (amps.ndim - 2))
-        dtype = np.dtype(complex) if g.name == "phase" else amps.dtype
-        if dtype not in views:
-            half = (amps.shape[0] // 2,) + amps.shape[1:]
-            first, second, scratch = work
-            views[dtype] = (
-                _as(first, amps.shape, dtype),
-                _as(second, amps.shape, dtype),
-                _as(scratch, half, dtype),
-            )
-        out, scratch = views[dtype][k % 2], views[dtype][2]
-        amps = _apply(amps, g.name, g.qubits, angle, out, scratch)
+        amps = _apply(amps, g.name, g.qubits, angle, buffers[k % 2], scratch)
     return amps
 
 
@@ -222,12 +218,12 @@ def _amplitudes(circuit: Circuit, inputs, weights, work=None) -> np.ndarray:
     """Bind ``circuit`` and walk it from the all-zeros state.
 
     One input row gives ``2**n`` amplitudes; a ``(batch, n_inputs)``
-    batch gives ``(2**n, batch)``, the amplitude axis first.  The start is
-    float64, broadcast over the batch, and the walk turns complex at its
-    first phase gate.  The result is a view into ``work`` (see ``_walk``).
+    batch gives ``(2**n, batch)``, the amplitude axis first.  The start,
+    broadcast over the batch, is float64, or complex if the circuit has a
+    phase gate.  The result is a view into ``work`` (see ``_walk``).
     """
     shape = (1 << circuit.n_qubits,) + np.shape(inputs)[:-1]
-    zero = np.zeros((shape[0],) + (1,) * (len(shape) - 1))
+    zero = np.zeros((shape[0],) + (1,) * (len(shape) - 1), _walk_dtype(float, circuit.gates))
     zero[0] = 1.0
     return _walk(bind(circuit, inputs, weights), np.broadcast_to(zero, shape), work)
 
@@ -237,10 +233,10 @@ def simulate(circuit: Circuit, inputs, weights) -> StateVector:
     return StateVector(circuit.n_qubits, _amplitudes(circuit, inputs, weights))
 
 
-# A batch is walked in blocks of rows of at most this many bytes as the
-# walk starts (a phase gate doubles them).  Every gate of a block writes
-# into a workspace allocated once per call or per training objective, so
-# the size trades per-call overhead against memory, not against page faults.
+# A batch is walked in blocks of rows of at most this many bytes of the
+# walk's one dtype.  Every gate of a block writes into a workspace
+# allocated once per call or per training problem, so the size trades
+# per-call overhead against memory, not against page faults.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -258,9 +254,9 @@ def _blocks(n_rows: int, row_bytes: int) -> list[slice]:
 def _encode(model: QnnModel, X) -> np.ndarray:
     """The feature-map state of each input row, one per column: shape ``(2**n, N)``."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    dim, gates = 1 << model.n_qubits, model.feature_map.gates
-    row_bytes = 8 * dim  # 8 B per float64 amplitude
-    psi = np.empty((dim, len(X)), _walk_dtype(float, gates))
+    dim = 1 << model.n_qubits
+    psi = np.empty((dim, len(X)), _walk_dtype(float, model.feature_map.gates))
+    row_bytes = psi.itemsize * dim
     work = _workspace(dim * min(len(X), _block_rows(row_bytes)), psi.dtype)
     for rows in _blocks(len(X), row_bytes):
         psi[:, rows] = _amplitudes(model.feature_map, X[rows], (), work)
@@ -270,16 +266,11 @@ def _encode(model: QnnModel, X) -> np.ndarray:
 def _evolve_workspace(model: QnnModel, psi: np.ndarray, batches) -> tuple:
     """A ``_workspace`` for ``_evolve`` on ``psi`` under weight batches of these sizes."""
     dim, n_rows = psi.shape
+    dtype = _walk_dtype(psi.dtype, model.variational.gates)
     largest = max(
-        dim * b * min(n_rows, _block_rows(b * psi.itemsize * dim)) for b in batches
+        dim * b * min(n_rows, _block_rows(b * dtype.itemsize * dim)) for b in batches
     )
-    return _workspace(largest, _walk_dtype(psi.dtype, model.variational.gates))
-
-
-def _encoded(model: QnnModel, X, batches) -> tuple[np.ndarray, tuple]:
-    """``_encode(model, X)`` and an ``_evolve_workspace`` for it: what ``_psi`` carries."""
-    psi = _encode(model, X)
-    return psi, _evolve_workspace(model, psi, batches)
+    return _workspace(largest, dtype)
 
 
 def _evolve(model: QnnModel, weights, psi: np.ndarray, readout=None, work=None) -> np.ndarray:
@@ -289,13 +280,14 @@ def _evolve(model: QnnModel, weights, psi: np.ndarray, readout=None, work=None) 
     is ``(2**n, N)``.  Returns the ``(B, N, 2**n)`` probabilities, or their
     ``(B, N)`` products with ``readout``.  The circuit is bound once and
     walked from ``(2**n, B, rows)``: B copies of each block of columns of
-    ``psi``.  Each block's squared amplitudes go to the spare walk buffer
-    of ``work`` (an ``_evolve_workspace``, allocated here if not given),
-    and move back to amplitude-last, contiguous, into the other one before
-    the readout.
+    ``psi``, promoted to the walk's dtype.  Each block's squared amplitudes
+    go to the spare walk buffer of ``work`` (an ``_evolve_workspace``,
+    allocated here if not given), and move back to amplitude-last,
+    contiguous, into the other one before the readout.
     """
     gates = bind(model.variational, (), weights)
     batch = len(weights) if np.ndim(weights) == 2 else 1
+    psi = psi.astype(_walk_dtype(psi.dtype, gates), copy=False)
     dim, n_rows = psi.shape
     if work is None:
         work = _evolve_workspace(model, psi, (batch,))
@@ -350,38 +342,46 @@ def forward(model: QnnModel, x, w) -> Regression | ClassProbs:
 # Losses and metrics
 
 
-def _check_pairing(model: QnnModel, dataset, kind: str):
-    if len(dataset) == 0:
-        raise UsageError("dataset is empty")
-    if kind not in LOSS_KINDS:
-        raise UsageError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
-    if kind == SQUARED_ERROR and (
-        model.head != REGRESSION or dataset.kind != "regression"
-    ):
-        raise UsageError(
-            "squared_error needs a regression-head model and a regression dataset"
-        )
-    if kind == CROSS_ENTROPY and (
-        model.head != PARITY or dataset.kind != "classification"
-    ):
-        raise UsageError(
-            "cross_entropy needs a parity-head model and a classification dataset"
-        )
+class _Problem:
+    """One model, dataset and loss kind, validated, encoded and read out once.
 
-
-def _fitted(model: QnnModel, weights, psi: np.ndarray, targets, kind: str, work=None):
-    """Fitted values of every encoded row under every weight row: shape ``(B, N)``.
-
-    ``weights`` is a ``(B, m)`` batch, ``psi`` comes from ``_encode`` and
-    ``work`` is ``_evolve``'s; a fitted value is y' for squared error and
-    P(label) for cross-entropy, turned from P(class 0) in place.
+    Holds the encoded rows ``psi``, an ``_evolve`` workspace for weight
+    batches of the sizes in ``batches``, the targets and the head's readout.
     """
-    signs = parity_signs(model.n_qubits)
-    if kind == SQUARED_ERROR:
-        return _evolve(model, weights, psi, signs, work)
-    fitted = _evolve(model, weights, psi, (signs > 0).astype(float), work)
-    np.subtract(1.0, fitted, out=fitted, where=targets == 1)
-    return fitted
+
+    def __init__(self, model: QnnModel, dataset, kind: str, batches):
+        if len(dataset) == 0:
+            raise UsageError("dataset is empty")
+        if kind not in LOSS_KINDS:
+            raise UsageError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
+        head, data = (
+            (REGRESSION, "regression") if kind == SQUARED_ERROR else (PARITY, "classification")
+        )
+        if model.head != head or dataset.kind != data:
+            raise UsageError(f"{kind} needs a {head}-head model and a {data} dataset")
+        X, self.targets = dataset.features_array(), dataset.targets_array()
+        finite = np.isfinite(X).all(axis=1) & np.isfinite(self.targets)
+        if not finite.all():
+            raise UsageError(
+                f"dataset row {int(np.argmin(finite))} has a non-finite feature or target"
+            )
+        self.model, self.kind = model, kind
+        self.psi = _encode(model, X)
+        self.work = _evolve_workspace(model, self.psi, batches)
+        signs = parity_signs(model.n_qubits)
+        self.readout = signs if kind == SQUARED_ERROR else (signs > 0).astype(float)
+        self.label_one = self.targets == 1
+
+    def fitted(self, weights) -> np.ndarray:
+        """Fitted values of every row under each row of the ``(B, m)`` ``weights``: ``(B, N)``.
+
+        A fitted value is y' for squared error and P(label) for
+        cross-entropy, turned from P(class 0) in place.
+        """
+        fitted = _evolve(self.model, weights, self.psi, self.readout, self.work)
+        if self.kind == CROSS_ENTROPY:
+            np.subtract(1.0, fitted, out=fitted, where=self.label_one)
+        return fitted
 
 
 def _loss_and_slope(fitted: np.ndarray, targets: np.ndarray, kind: str):
@@ -398,17 +398,16 @@ def _loss_and_slope(fitted: np.ndarray, targets: np.ndarray, kind: str):
     return -np.log(clamped), np.where(fitted < PROB_EPS, 0.0, -1.0 / clamped)
 
 
-def batch_loss(model: QnnModel, w, dataset, kind: str, *, _psi=None) -> float:
+def batch_loss(model: QnnModel, w, dataset, kind: str, *, _problem=None) -> float:
     """Arithmetic mean of per-sample losses over a dataset (see ``_loss_and_slope``).
 
-    ``_psi`` is the dataset's ``_encoded`` pair (states and workspace) when
-    the caller has cached it.
+    ``_problem`` is the caller's ``_Problem`` for these arguments, with a
+    workspace for one weight row; without it one is built for this call.
     """
-    _check_pairing(model, dataset, kind)
-    targets = dataset.targets_array()
-    psi, work = _encoded(model, dataset.features_array(), (1,)) if _psi is None else _psi
-    fitted = _fitted(model, np.asarray(w, dtype=float)[None], psi, targets, kind, work)[0]
-    return float(np.mean(_loss_and_slope(fitted, targets, kind)[0]))
+    if _problem is None:
+        _problem = _Problem(model, dataset, kind, (1,))
+    fitted = _problem.fitted(np.asarray(w, dtype=float)[None])[0]
+    return float(np.mean(_loss_and_slope(fitted, _problem.targets, kind)[0]))
 
 
 def decide(p0, p1):

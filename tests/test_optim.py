@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 import strategies
-from eqnn import qnn
+from eqnn import optim, qnn
 from eqnn.circuit import Circuit, Gate, Input, Weight
 from eqnn.data import Dataset, Sample, gen_linear, gen_two_class_usage
 from eqnn.errors import (
@@ -244,13 +244,13 @@ def test_reported_evaluations_equal_dataset_passes(monkeypatch, kind):
     # under a batch of weight rows; each row is one dataset pass: 1 per loss,
     # 2m+1 per gradient.
     passes = []
-    original = qnn._fitted
+    original = qnn._Problem.fitted
 
-    def counted(model, weights, *args, **kwargs):
+    def counted(problem, weights):
         passes.extend([1] * len(weights))
-        return original(model, weights, *args, **kwargs)
+        return original(problem, weights)
 
-    monkeypatch.setattr(qnn, "_fitted", counted)
+    monkeypatch.setattr(qnn._Problem, "fitted", counted)
     model = build_model("eqnn1")
     dataset = gen_two_class_usage(per_class=10, seed=4)
     objective = make_objective(model, dataset, CROSS_ENTROPY)
@@ -537,6 +537,71 @@ def test_make_objective_wires_loss_and_gradient():
     np.testing.assert_array_equal(
         objective.grad(w), parameter_shift_gradient(model, w, dataset, SQUARED_ERROR)
     )
+
+
+@given(problem=strategies.problems(), data=st.data())
+def test_non_finite_dataset_value_is_refused_with_its_row(problem, data):
+    # A nan or +-inf feature, or regression target, in a dataset built in
+    # code (``load_csv`` refuses such rows itself) is refused before any
+    # walk, naming its row; a class label is 0 or 1 by construction.
+    model, kind, w, dataset = problem
+    i = data.draw(st.integers(0, len(dataset) - 1))
+    values = list(dataset.samples[i].features) + [dataset.samples[i].target]
+    j = data.draw(st.integers(0, len(values) - 1 - (kind == CROSS_ENTROPY)))
+    values[j] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    samples = list(dataset.samples)
+    samples[i] = Sample(tuple(values[:-1]), values[-1])
+    broken = Dataset(tuple(samples), dataset.kind, dataset.generator, dataset.seed)
+    message = f"dataset row {i} has a non-finite feature or target"
+    with pytest.raises(UsageError, match=message):
+        batch_loss(model, w, broken, kind)
+    with pytest.raises(UsageError, match=message):
+        parameter_shift_gradient(model, w, broken, kind)
+    with pytest.raises(UsageError, match=message):
+        make_objective(model, broken, kind)
+
+
+@pytest.mark.parametrize("model, dataset, kind", [
+    (simplified_model(), gen_linear(30, seed=2), SQUARED_ERROR),
+    (build_model("eqnn1"), gen_two_class_usage(per_class=10, seed=2), CROSS_ENTROPY),
+])
+def test_objective_encodes_and_reads_out_once(monkeypatch, model, dataset, kind):
+    # The encoding and the head's readout belong to the dataset, not to the
+    # weights: an objective builds them once, and no evaluation rebuilds them.
+    calls = []
+    for name in ("_encode", "parity_signs"):
+        def spy(*args, _original=getattr(qnn, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(qnn, name, spy)
+    objective = make_objective(model, dataset, kind)
+    built = list(calls)
+    w = initial_weights(model.n_weights, seed=2)
+    for _ in range(3):
+        objective.fun(w)
+        objective.grad(w)
+    assert calls == built
+
+
+def test_objective_evaluates_through_the_public_loss_and_gradient(monkeypatch):
+    # The benchmark times ``qnn.batch_loss`` and ``optim.parameter_shift_gradient``
+    # as layers of their own; an objective that walked around either would
+    # leave that layer unmeasured.
+    calls = []
+    for module, name in ((qnn, "batch_loss"), (optim, "parameter_shift_gradient")):
+        def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    model = build_model("eqnn1")
+    objective = make_objective(model, gen_two_class_usage(per_class=5, seed=3), CROSS_ENTROPY)
+    w = initial_weights(model.n_weights, seed=3)
+    objective.fun(w)
+    assert calls == ["batch_loss"]
+    objective.grad(w)
+    assert calls == ["batch_loss", "parameter_shift_gradient"]
 
 
 def test_training_simplified_model_end_to_end():

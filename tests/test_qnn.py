@@ -241,10 +241,9 @@ def test_batch_rows_equal_single_state_simulation(data):
 
 
 def test_batch_walked_in_blocks_equals_single_state_simulation(monkeypatch):
-    # At 64 KB blocks the benchmark's 2 qubits encode 2048 rows per block
-    # from a float64 start and walk the weights 1024 complex rows per block;
-    # 2051 rows span two and three blocks, the last a partial one.  (At the
-    # default block size they would take one block each.)
+    # At 64 KB blocks the benchmark's 2 qubits encode, and walk the
+    # weights, 1024 complex rows per block; 2051 rows span three blocks, the
+    # last a partial one.  (At the default block size they would take one.)
     monkeypatch.setattr(qnn, "_BLOCK_BYTES", 1 << 16)
     model = build_model("benchmark")
     X = np.random.default_rng(3).uniform(-1.0, 1.0, size=(2051, model.n_inputs))
@@ -370,7 +369,7 @@ def test_contracted_values_equal_public_predictions_bit_for_bit(problem, data):
     model, kind, w, dataset = problem
     W = np.vstack([w, data.draw(strategies.rows(data.draw(st.integers(0, 4)), len(w)))])
     X, targets = dataset.features_array(), dataset.targets_array()
-    fitted = qnn._fitted(model, W, qnn._encode(model, X), targets, kind)
+    fitted = qnn._Problem(model, dataset, kind, (len(W),)).fitted(W)
     assert fitted.shape == (len(W), len(X))
     for row, weights in zip(fitted, W):
         if kind == SQUARED_ERROR:
