@@ -20,7 +20,8 @@ only ``kind``, ``max_iters`` and ``seed`` vary between runs.
 
 ``make_objective`` builds one ``qnn._Problem`` per objective: the model,
 dataset and loss validated once, the ``(2**n, N)`` encoded states, the
-workspace their walks write into, the targets and the head's readout.
+one workspace that the encode and every later walk write into, the
+targets and the head's readout.
 It hands that problem to ``qnn.batch_loss`` and
 ``parameter_shift_gradient`` through their private keyword ``_problem``;
 without it each builds one for that call alone.  A gradient's 2m+1
@@ -259,15 +260,15 @@ def parameter_shift_gradient(
     The derivative of each fitted value, (f(w_j + pi/2) - f(w_j - pi/2)) / 2,
     times the loss's slope at f(w) from ``qnn._loss_and_slope``, averaged.
     The stack ``w``, ``w + pi/2 e_j``, ``w - pi/2 e_j`` is one walk.
-    ``_problem`` is the caller's ``qnn._Problem`` for these arguments, with
-    a workspace for 2m+1 weight rows; without it one is built for this call.
+    ``_problem`` is the caller's ``qnn._Problem`` for these arguments;
+    without it one is built for this call, after the model and ``w`` pass.
     """
-    if _problem is None:
-        _problem = qnn._Problem(model, dataset, kind, (2 * model.n_weights + 1,))
     _check_shift_precondition(model)
     w = np.asarray(w, dtype=float)
     if w.ndim != 1:
         raise UsageError(f"the gradient takes one weight row, got shape {w.shape}")
+    if _problem is None:
+        _problem = qnn._Problem(model, dataset, kind)
     shifts = math.pi / 2.0 * np.eye(len(w))
     fitted = _problem.fitted(np.vstack([w, w + shifts, w - shifts]))
     _, slope = qnn._loss_and_slope(fitted[0], _problem.targets, kind)
@@ -282,9 +283,9 @@ def make_objective(model: qnn.QnnModel, dataset, kind: str) -> Objective:
     """Batch loss over a dataset as a minimization objective on one ``qnn._Problem``.
 
     Every evaluation walks from that problem and writes into its one
-    workspace, sized for both the loss and the gradient walks.
+    workspace, which its first gradient grows to fit the 2m+1 weight rows.
     """
-    problem = qnn._Problem(model, dataset, kind, (1, 2 * model.n_weights + 1))
+    problem = qnn._Problem(model, dataset, kind)
     return Objective(
         fun=lambda w: qnn.batch_loss(model, w, dataset, kind, _problem=problem),
         dim=model.n_weights,

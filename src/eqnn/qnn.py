@@ -28,16 +28,17 @@ those states under a weight row or a ``(B, m)`` batch of them
 basis probabilities; a training objective walks one row per loss and the
 2m+1 rows ``w``, ``w +- pi/2 e_j`` per gradient, and reduces each block
 by the head's readout.  No walk allocates a block-sized array per gate:
-the gates write in turn into the two walk buffers of a workspace
-(``_workspace``: 2.5 blocks, two buffers and RY's half-size scratch, of
-the walk's dtype), and the readout squares and transposes each block in
-those same buffers.  A training problem (``_Problem``: one model, dataset
-and loss kind) is validated, encoded and given its readout and its
-workspace once, and every loss and gradient of a training objective
-walks from it.  Any other call allocates a workspace for its own
-duration, and no returned array is a view into one.  A batch row is
-identical to one-at-a-time simulation, every fitted value to the public
-prediction, and a wide register needs no ``2**n x 2**n`` matrix.  One
+the gates write in turn into the two walk buffers of a ``_Workspace``
+(2.5 blocks: two buffers and RY's half-size scratch), which grows to the
+largest walk it is given, and the readout squares and transposes each
+block in those same buffers.  Each ``simulate`` or prediction call owns
+one workspace, which a prediction's encode and walk share.  A training
+problem (``_Problem``: one model, dataset and loss kind) is validated,
+encoded and given its readout and its workspace once, and every loss
+and gradient of a training objective walks from it.  No returned array
+is a view into a workspace.  A batch row is identical to one-at-a-time
+simulation, every fitted value to the public prediction, and a wide
+register needs no ``2**n x 2**n`` matrix.  One
 loss core, ``_loss_and_slope``, holds each loss and its slope for
 ``batch_loss`` and the shift-rule gradient alike; every class decision
 goes through ``decide``.  Batch means use ``np.mean`` (pairwise
@@ -169,43 +170,45 @@ def _walk_dtype(dtype, gates) -> np.dtype:
     return np.dtype(complex if any(g.name == "phase" for g in gates) else dtype)
 
 
-def _workspace(n_amplitudes: int, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat bytes to walk blocks of up to ``n_amplitudes`` of ``dtype`` without allocating.
-
-    Two walk buffers of one block each, which the gates write in turn,
-    and half a block of scratch for RY's second product: 2.5 blocks, as
-    three arrays, so a walk's result keeps only its own buffer alive.
-    """
-    size = n_amplitudes * np.dtype(dtype).itemsize
-    return np.empty(size, np.uint8), np.empty(size, np.uint8), np.empty(size // 2, np.uint8)
-
-
 def _as(buffer: np.ndarray, shape: tuple, dtype) -> np.ndarray:
     """The leading bytes of the flat ``buffer`` as a C-ordered ``dtype`` array of ``shape``."""
     dtype = np.dtype(dtype)
     return buffer[: math.prod(shape) * dtype.itemsize].view(dtype).reshape(shape)
 
 
-def _spare(work, amps: np.ndarray) -> np.ndarray:
-    """The walk buffer of ``work`` that does not hold ``amps``."""
-    first, second, _ = work
-    return second if np.may_share_memory(first, amps) else first
+class _Workspace:
+    """Flat bytes that walks write into, grown to the largest walk given so far.
+
+    Two walk buffers of one block each, which the gates write in turn,
+    and half a block of scratch for RY's second product: 2.5 blocks, as
+    three arrays, so a walk's result keeps only its own buffer alive.
+    """
+
+    def __init__(self):
+        self._bytes = (np.empty(0, np.uint8),) * 3
+
+    def views(self, amps: np.ndarray) -> list[np.ndarray]:
+        """The two walk buffers shaped like ``amps``, then the scratch, half as long in axis 0."""
+        if self._bytes[0].size < amps.nbytes:
+            self._bytes = ()  # release the smaller arrays before allocating
+            self._bytes = tuple(np.empty(amps.nbytes // d, np.uint8) for d in (1, 1, 2))
+        half = (amps.shape[0] // 2,) + amps.shape[1:]
+        return [_as(b, s, amps.dtype) for b, s in zip(self._bytes, (amps.shape, amps.shape, half))]
+
+    def spare(self, amps: np.ndarray) -> np.ndarray:
+        """The walk buffer that does not hold ``amps``."""
+        first, second, _ = self._bytes
+        return second if np.may_share_memory(first, amps) else first
 
 
-def _walk(gates, amps: np.ndarray, work=None) -> np.ndarray:
+def _walk(gates, amps: np.ndarray, work: _Workspace) -> np.ndarray:
     """Apply bound gates in order to ``amps``, of the walk's one dtype (see ``_walk_dtype``).
 
     Gates bound to a batch of rows turn ``amps[:, b]``, shape ``(2**n, ...)``,
     by row ``b``'s angles.  Gate ``k`` writes walk buffer ``k % 2`` of
-    ``work`` (a ``_workspace`` for at least ``amps.size`` amplitudes of
-    ``amps.dtype``), so the result is a view into it; without ``work`` the
-    walk allocates one.
+    ``work``, so the result is a view into it.
     """
-    if work is None:
-        work = _workspace(amps.size, amps.dtype)
-    first, second, scratch = work
-    buffers = _as(first, amps.shape, amps.dtype), _as(second, amps.shape, amps.dtype)
-    scratch = _as(scratch, (amps.shape[0] // 2,) + amps.shape[1:], amps.dtype)
+    *buffers, scratch = work.views(amps)
     for k, g in enumerate(gates):
         angle = g.angle
         if np.ndim(angle):  # one angle per batch row, shared by the axes after it
@@ -214,7 +217,7 @@ def _walk(gates, amps: np.ndarray, work=None) -> np.ndarray:
     return amps
 
 
-def _amplitudes(circuit: Circuit, inputs, weights, work=None) -> np.ndarray:
+def _amplitudes(circuit: Circuit, inputs, weights, work: _Workspace) -> np.ndarray:
     """Bind ``circuit`` and walk it from the all-zeros state.
 
     One input row gives ``2**n`` amplitudes; a ``(batch, n_inputs)``
@@ -230,50 +233,34 @@ def _amplitudes(circuit: Circuit, inputs, weights, work=None) -> np.ndarray:
 
 def simulate(circuit: Circuit, inputs, weights) -> StateVector:
     """Bind and run a circuit on one input row from the all-zeros state."""
-    return StateVector(circuit.n_qubits, _amplitudes(circuit, inputs, weights))
+    return StateVector(circuit.n_qubits, _amplitudes(circuit, inputs, weights, _Workspace()))
 
 
 # A batch is walked in blocks of rows of at most this many bytes of the
-# walk's one dtype.  Every gate of a block writes into a workspace
-# allocated once per call or per training problem, so the size trades
-# per-call overhead against memory, not against page faults.
+# walk's one dtype.  Every gate of a block writes into the workspace of
+# its call or training problem, so the size trades per-call overhead
+# against memory, not against page faults.
 _BLOCK_BYTES = 1 << 18
-
-
-def _block_rows(row_bytes: int) -> int:
-    """Rows in one ``_BLOCK_BYTES`` block, at least one."""
-    return max(1, _BLOCK_BYTES // row_bytes)
 
 
 def _blocks(n_rows: int, row_bytes: int) -> list[slice]:
     """Slices of ``_BLOCK_BYTES`` worth of rows, at least one row each; one slice for 0 rows."""
-    step = _block_rows(row_bytes)
+    step = max(1, _BLOCK_BYTES // row_bytes)
     return [slice(i, i + step) for i in range(0, max(n_rows, 1), step)]
 
 
-def _encode(model: QnnModel, X) -> np.ndarray:
-    """The feature-map state of each input row, one per column: shape ``(2**n, N)``."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+def _encode(model: QnnModel, X: np.ndarray, work: _Workspace) -> np.ndarray:
+    """The feature-map state of each row of the float ``(N, n_inputs)`` ``X``: ``(2**n, N)``."""
     dim = 1 << model.n_qubits
     psi = np.empty((dim, len(X)), _walk_dtype(float, model.feature_map.gates))
-    row_bytes = psi.itemsize * dim
-    work = _workspace(dim * min(len(X), _block_rows(row_bytes)), psi.dtype)
-    for rows in _blocks(len(X), row_bytes):
+    for rows in _blocks(len(X), psi.itemsize * dim):
         psi[:, rows] = _amplitudes(model.feature_map, X[rows], (), work)
     return psi
 
 
-def _evolve_workspace(model: QnnModel, psi: np.ndarray, batches) -> tuple:
-    """A ``_workspace`` for ``_evolve`` on ``psi`` under weight batches of these sizes."""
-    dim, n_rows = psi.shape
-    dtype = _walk_dtype(psi.dtype, model.variational.gates)
-    largest = max(
-        dim * b * min(n_rows, _block_rows(b * dtype.itemsize * dim)) for b in batches
-    )
-    return _workspace(largest, dtype)
-
-
-def _evolve(model: QnnModel, weights, psi: np.ndarray, readout=None, work=None) -> np.ndarray:
+def _evolve(
+    model: QnnModel, weights, psi: np.ndarray, work: _Workspace, readout=None
+) -> np.ndarray:
     """Walk the variational circuit from the encoded states ``psi`` under each weight row.
 
     ``weights`` is a ``(B, m)`` batch, or one row taken as B = 1, and ``psi``
@@ -281,21 +268,18 @@ def _evolve(model: QnnModel, weights, psi: np.ndarray, readout=None, work=None) 
     ``(B, N)`` products with ``readout``.  The circuit is bound once and
     walked from ``(2**n, B, rows)``: B copies of each block of columns of
     ``psi``, promoted to the walk's dtype.  Each block's squared amplitudes
-    go to the spare walk buffer of ``work`` (an ``_evolve_workspace``,
-    allocated here if not given), and move back to amplitude-last,
-    contiguous, into the other one before the readout.
+    go to the spare walk buffer of ``work``, and move back to
+    amplitude-last, contiguous, into the other one before the readout.
     """
     gates = bind(model.variational, (), weights)
     batch = len(weights) if np.ndim(weights) == 2 else 1
     psi = psi.astype(_walk_dtype(psi.dtype, gates), copy=False)
     dim, n_rows = psi.shape
-    if work is None:
-        work = _evolve_workspace(model, psi, (batch,))
     out = np.empty((batch, n_rows) + ((dim,) if readout is None else ()))
     for rows in _blocks(n_rows, batch * psi.itemsize * dim):
         block = psi[:, None, rows]
         amps = _walk(gates, np.broadcast_to(block, (dim, batch, block.shape[2])), work)
-        squares = _as(_spare(work, amps), amps.shape, float)
+        squares = _as(work.spare(amps), amps.shape, float)
         if np.iscomplexobj(amps):
             np.square(np.abs(amps, out=squares), out=squares)
         else:
@@ -304,18 +288,28 @@ def _evolve(model: QnnModel, weights, psi: np.ndarray, readout=None, work=None) 
         if readout is None:
             out[:, rows] = probs
         else:
-            flat = _as(_spare(work, squares), probs.shape, float)
+            flat = _as(work.spare(squares), probs.shape, float)
             np.copyto(flat, probs)
             out[:, rows] = flat @ readout
     return out
 
 
 def probabilities_batch(model: QnnModel, X, w) -> np.ndarray:
-    """Basis-state probabilities for each input row: shape (batch, 2**n)."""
+    """Basis-state probabilities for each input row: shape (batch, 2**n).
+
+    Refuses a non-finite feature or weight, naming its row or index.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
     w = np.asarray(w, dtype=float)
     if w.ndim != 1:
         raise UsageError(f"predictions take one weight row, got shape {w.shape}")
-    return _evolve(model, w, _encode(model, X))[0]
+    if not np.isfinite(X).all():
+        row = int(np.argwhere(~np.isfinite(X))[0, 0])
+        raise UsageError(f"input row {row} has a non-finite feature")
+    if not np.isfinite(w).all():
+        raise UsageError(f"weight {int(np.argmin(np.isfinite(w)))} is not finite")
+    work = _Workspace()
+    return _evolve(model, w, _encode(model, X, work), work)[0]
 
 
 def predict_regression(model: QnnModel, X, w) -> np.ndarray:
@@ -345,11 +339,11 @@ def forward(model: QnnModel, x, w) -> Regression | ClassProbs:
 class _Problem:
     """One model, dataset and loss kind, validated, encoded and read out once.
 
-    Holds the encoded rows ``psi``, an ``_evolve`` workspace for weight
-    batches of the sizes in ``batches``, the targets and the head's readout.
+    Holds the encoded rows ``psi``, the workspace that their encode and
+    every later walk write into, the targets and the head's readout.
     """
 
-    def __init__(self, model: QnnModel, dataset, kind: str, batches):
+    def __init__(self, model: QnnModel, dataset, kind: str):
         if len(dataset) == 0:
             raise UsageError("dataset is empty")
         if kind not in LOSS_KINDS:
@@ -366,8 +360,8 @@ class _Problem:
                 f"dataset row {int(np.argmin(finite))} has a non-finite feature or target"
             )
         self.model, self.kind = model, kind
-        self.psi = _encode(model, X)
-        self.work = _evolve_workspace(model, self.psi, batches)
+        self.work = _Workspace()
+        self.psi = _encode(model, X, self.work)
         signs = parity_signs(model.n_qubits)
         self.readout = signs if kind == SQUARED_ERROR else (signs > 0).astype(float)
         self.label_one = self.targets == 1
@@ -378,7 +372,7 @@ class _Problem:
         A fitted value is y' for squared error and P(label) for
         cross-entropy, turned from P(class 0) in place.
         """
-        fitted = _evolve(self.model, weights, self.psi, self.readout, self.work)
+        fitted = _evolve(self.model, weights, self.psi, self.work, self.readout)
         if self.kind == CROSS_ENTROPY:
             np.subtract(1.0, fitted, out=fitted, where=self.label_one)
         return fitted
@@ -401,11 +395,11 @@ def _loss_and_slope(fitted: np.ndarray, targets: np.ndarray, kind: str):
 def batch_loss(model: QnnModel, w, dataset, kind: str, *, _problem=None) -> float:
     """Arithmetic mean of per-sample losses over a dataset (see ``_loss_and_slope``).
 
-    ``_problem`` is the caller's ``_Problem`` for these arguments, with a
-    workspace for one weight row; without it one is built for this call.
+    ``_problem`` is the caller's ``_Problem`` for these arguments; without
+    it one is built for this call.
     """
     if _problem is None:
-        _problem = _Problem(model, dataset, kind, (1,))
+        _problem = _Problem(model, dataset, kind)
     fitted = _problem.fitted(np.asarray(w, dtype=float)[None])[0]
     return float(np.mean(_loss_and_slope(fitted, _problem.targets, kind)[0]))
 

@@ -184,7 +184,7 @@ class StateVector:
                 f"{self.n_qubits} qubits, got shape {amps.shape}"
             )
         norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # a nan norm fails too
             raise UsageError(f"amplitudes are not normalized (sum of squares {norm!r})")
         object.__setattr__(self, "amps", amps)
 

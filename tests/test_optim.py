@@ -288,12 +288,17 @@ def _owner(array: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("name, call", [
     ("eqnn3", lambda objective, w: objective.fun(w)),
     ("benchmark", lambda objective, w: objective.grad(w)),
+    pytest.param(
+        "eqnn3", lambda objective, w: (objective.grad(w), objective.fun(w)),
+        id="eqnn3-gradient-then-loss",
+    ),
 ])
 def test_objective_writes_every_kernel_output_into_its_own_workspace(monkeypatch, name, call):
-    # After one warm-up call, an 8000-row loss (eqnn3, real, one block) and
-    # gradient (benchmark, complex, many blocks) write every gate's output
-    # into the two walk buffers that the objective owns and already wrote
-    # in the warm-up: no kernel returns a fresh array.
+    # After one warm-up call, an 8000-row loss (eqnn3, real, one block),
+    # gradient (benchmark, complex, many blocks), or gradient and then loss
+    # in AQGD's order (the loss in the buffers the gradient grew) write
+    # every gate's output into the two walk buffers that the objective owns
+    # and already wrote in the warm-up: no kernel returns a fresh array.
     outputs = []
     original = qnn._apply
 
@@ -316,6 +321,25 @@ def test_objective_writes_every_kernel_output_into_its_own_workspace(monkeypatch
     for out in outputs:
         assert any(np.shares_memory(out, buffer) for buffer in buffers.values())
         assert id(_owner(out)) in buffers
+
+
+def test_prediction_encodes_and_walks_in_one_workspace(monkeypatch):
+    # One call's encode and walk write every gate's output into the same
+    # two walk buffers: 5000 benchmark rows, complex, take two blocks of
+    # each at 256 KB.
+    outputs = []
+    original = qnn._apply
+
+    def spy(*args, **kwargs):
+        outputs.append(original(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(qnn, "_apply", spy)
+    model = build_model("benchmark")
+    X = np.random.default_rng(4).uniform(-1.0, 1.0, size=(5000, model.n_inputs))
+    qnn.probabilities_batch(model, X, np.linspace(-1.0, 1.0, model.n_weights))
+    assert len(outputs) == 2 * len(model.circuit.gates)
+    assert len({id(_owner(out)) for out in outputs}) == 2
 
 
 def test_aqgd_requires_gradient():
@@ -509,6 +533,28 @@ def test_shift_gradient_rejects_invalid_weight_placement():
         parameter_shift_gradient(
             QnnModel("tied", fm, repeated, REGRESSION), [0.1], dataset, SQUARED_ERROR
         )
+
+
+def test_shift_gradient_checks_model_and_weights_before_encoding(monkeypatch):
+    # An unsupported model or a 2-D ``w`` is refused before the dataset is encoded.
+    encodes = []
+    original = qnn._encode
+
+    def spy(*args):
+        encodes.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(qnn, "_encode", spy)
+    dataset = one_sample(0.2, 0.1)
+    fm = Circuit(1, (Gate("ry", (0,), Input(0)),))
+    tied = Circuit(1, (Gate("ry", (0,), Weight(0)), Gate("ry", (0,), Weight(0))))
+    with pytest.raises(UnsupportedModelError):
+        parameter_shift_gradient(
+            QnnModel("tied", fm, tied, REGRESSION), [0.1], dataset, SQUARED_ERROR
+        )
+    with pytest.raises(UsageError, match="one weight row"):
+        parameter_shift_gradient(simplified_model(), [[0.1]], dataset, SQUARED_ERROR)
+    assert encodes == []
 
 
 def test_shift_gradient_validates_shapes_and_pairing():

@@ -204,6 +204,59 @@ def test_forward_arity_validation():
         predict_probs(model, np.zeros((3, 2)), np.zeros((2, 4)))
 
 
+@given(problem=strategies.problems(), data=st.data())
+def test_predictions_refuse_a_non_finite_feature_or_weight(problem, data):
+    # A nan or +-inf in one input row, or in one weight, is refused before
+    # any walk, naming its row or weight; it never reads as a nan
+    # probability, or as class 0 in an accuracy.
+    model, kind, w, dataset = problem
+    X, w = dataset.features_array().copy(), w.copy()
+    value = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(X) - 1))
+        X[i, data.draw(st.integers(0, X.shape[1] - 1))] = value
+        message = f"input row {i} has a non-finite feature"
+    else:
+        j = data.draw(st.integers(0, len(w) - 1))
+        w[j] = value
+        message = f"weight {j} is not finite"
+    with pytest.raises(UsageError, match=message):
+        predict_probs(model, X, w)
+    with pytest.raises(UsageError, match=message):
+        predict_regression(model, X, w)
+    if kind == CROSS_ENTROPY:
+        samples = tuple(Sample(tuple(x), s.target) for x, s in zip(X.tolist(), dataset.samples))
+        broken = Dataset(samples, dataset.kind, dataset.generator, dataset.seed)
+        with pytest.raises(UsageError, match=message):
+            accuracy(model, w, broken)
+
+
+def test_every_prediction_goes_through_probabilities_batch(monkeypatch):
+    # The benchmark times ``qnn.probabilities_batch`` as a layer of its own
+    # on every workload; a prediction that walked around it would leave
+    # that layer unmeasured.
+    calls = []
+    original = qnn.probabilities_batch
+
+    def spy(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(qnn, "probabilities_batch", spy)
+    model, w = build_model("eqnn1"), np.zeros(4)
+    dataset = tiny_class_set([(0.1, 0.2, 0), (0.8, 0.9, 1)])
+    X = dataset.features_array()
+    for predict in (
+        lambda: predict_probs(model, X, w),
+        lambda: predict_regression(model, X, w),
+        lambda: forward(model, X[0], w),
+        lambda: accuracy(model, w, dataset),
+    ):
+        calls.clear()
+        predict()
+        assert len(calls) == 1
+
+
 def test_empty_batches_keep_their_shapes():
     model, w = build_model("eqnn1"), np.zeros(4)
     X = np.zeros((0, 2))
@@ -232,7 +285,7 @@ def test_batch_rows_equal_single_state_simulation(data):
         single = simulate(model.circuit, x, w).amps
         gates = bind(model.circuit, x, w)
         np.testing.assert_array_equal(row, np.abs(single) ** 2)
-        np.testing.assert_array_equal(single, qnn._walk(gates, complex_zero))
+        np.testing.assert_array_equal(single, qnn._walk(gates, complex_zero, qnn._Workspace()))
         dense = oracles.circuit_state(
             model.n_qubits, [(g.name, g.qubits, g.angle) for g in gates]
         )
@@ -369,7 +422,7 @@ def test_contracted_values_equal_public_predictions_bit_for_bit(problem, data):
     model, kind, w, dataset = problem
     W = np.vstack([w, data.draw(strategies.rows(data.draw(st.integers(0, 4)), len(w)))])
     X, targets = dataset.features_array(), dataset.targets_array()
-    fitted = qnn._Problem(model, dataset, kind, (len(W),)).fitted(W)
+    fitted = qnn._Problem(model, dataset, kind).fitted(W)
     assert fitted.shape == (len(W), len(X))
     for row, weights in zip(fitted, W):
         if kind == SQUARED_ERROR:

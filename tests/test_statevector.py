@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from eqnn.circuit import build_real_amplitudes
 from eqnn.errors import ConfigurationError, UsageError
 from eqnn.statevector import (
     RY,
@@ -21,6 +22,7 @@ from eqnn.statevector import (
     probabilities,
     zero_state,
 )
+from eqnn.qnn import simulate
 
 
 def as_state(amps):
@@ -48,10 +50,18 @@ def test_zero_state_rejects_bad_sizes():
 
 
 def test_statevector_rejects_unnormalized_and_misshaped():
-    with pytest.raises(UsageError):
-        StateVector(1, np.array([1.0, 1.0]))
-    with pytest.raises(UsageError):
-        StateVector(2, np.array([1.0, 0.0]))
+    # A nan sum of squares fails the norm check too: it is not within 1e-12 of 1.
+    for n, amps in [
+        (1, [1.0, 1.0]),
+        (2, [1.0, 0.0]),
+        (1, [np.nan, 0.0]),
+        (1, [np.inf, 0.0]),
+        (2, [0.5, 0.5, 0.5, -np.inf]),
+    ]:
+        with pytest.raises(UsageError):
+            StateVector(n, np.array(amps))
+    with pytest.raises(UsageError, match="not normalized"):
+        simulate(build_real_amplitudes(2, 1), [], [np.nan, 0.0, 0.0, 0.0])
 
 
 def test_hadamard_on_zero_gives_uniform():
