@@ -20,6 +20,9 @@ Two layers over one dispatch:
   / ``probabilities`` wrap the kernels in a validated value type for
   single-state work.
 
+Kernels take bit positions, not logical qubits: the circuit walk in
+``qnn`` owns the layout and may rotate a wide register's bit order.
+
 ``_apply`` is the one place that maps a gate name (``h``, ``phase``,
 ``ry``, ``cnot``) to its kernel; the value-type API and the circuit
 walk in ``qnn`` both go through it.

@@ -63,6 +63,33 @@ def circuit_state(n_qubits: int, gates) -> np.ndarray:
     return state
 
 
+def tensor_state(n_qubits: int, gates) -> np.ndarray:
+    """``circuit_state`` for registers too wide for a dense matrix.
+
+    The register is a ``(2,)*n`` tensor with qubit q on axis n-1-q; each
+    gate is a tensordot of its 2x2 matrix, or of CNOT as a
+    ``[control', target', control, target]`` tensor, on its qubits' axes.
+    """
+    cnot = np.zeros((2, 2, 2, 2))
+    for c in range(2):
+        for t in range(2):
+            cnot[c, t ^ c, c, t] = 1.0
+    psi = np.zeros((2,) * n_qubits, dtype=complex)
+    psi[(0,) * n_qubits] = 1.0
+    for name, qubits, theta in gates:
+        if name == "cnot":
+            op = cnot
+        elif name == "h":
+            op = H2
+        else:
+            op = phase_matrix(theta) if name == "phase" else ry_matrix(theta)
+        axes = [n_qubits - 1 - q for q in qubits]
+        k = len(axes)
+        psi = np.tensordot(op, psi, axes=(list(range(k, 2 * k)), axes))
+        psi = np.moveaxis(psi, list(range(k)), axes)
+    return psi.reshape(-1)
+
+
 def random_state(rng: np.random.Generator, n_qubits: int) -> np.ndarray:
     """A Haar-ish random normalized amplitude vector."""
     amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)

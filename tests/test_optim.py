@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import oracles
 import strategies
 from eqnn import optim, qnn
-from eqnn.circuit import Circuit, Gate, Input, Weight
+from eqnn.circuit import Circuit, Gate, Input, Weight, build_real_amplitudes
 from eqnn.data import Dataset, Sample, gen_linear, gen_two_class_usage
 from eqnn.errors import (
     ConfigurationError,
@@ -340,6 +340,42 @@ def test_prediction_encodes_and_walks_in_one_workspace(monkeypatch):
     qnn.probabilities_batch(model, X, np.linspace(-1.0, 1.0, model.n_weights))
     assert len(outputs) == 2 * len(model.circuit.gates)
     assert len({id(_owner(out)) for out in outputs}) == 2
+
+
+@pytest.mark.parametrize("call", ["simulate", "predict_probs"])
+def test_wide_call_writes_every_kernel_and_rotation_into_its_own_workspace(monkeypatch, call):
+    # A 1-D 14-qubit simulate, or a prediction from an H layer, rotates
+    # the register many times; every rotation, like every gate, writes one
+    # of the two walk buffers of the call's one workspace.
+    outputs, walk_buffers = [], []
+    for name in ("_apply", "_rotate"):
+
+        def spy(*args, name=name, original=getattr(qnn, name)):
+            outputs.append((name, original(*args)))
+            return outputs[-1][1]
+
+        monkeypatch.setattr(qnn, name, spy)
+    views = qnn._Workspace.views
+
+    def record(work, amps):
+        shaped = views(work, amps)
+        walk_buffers.append(work._bytes[:2])
+        return shaped
+
+    monkeypatch.setattr(qnn._Workspace, "views", record)
+    n = 14
+    ansatz = build_real_amplitudes(n, 3)
+    w = np.linspace(-1.0, 1.0, ansatz.weight_arity)
+    if call == "simulate":
+        qnn.simulate(ansatz, (), w)
+    else:
+        h_layer = Circuit(n, tuple(Gate("h", (q,)) for q in range(n)))
+        qnn.predict_probs(QnnModel("wide", h_layer, ansatz, PARITY), np.zeros((1, 0)), w)
+    assert "_rotate" in {name for name, _ in outputs}
+    assert len(outputs) > len(ansatz.gates)
+    buffers = {id(b) for b in walk_buffers[0]}
+    assert all({id(b) for b in pair} == buffers for pair in walk_buffers)
+    assert {id(_owner(out)) for _, out in outputs} == buffers
 
 
 def test_aqgd_requires_gradient():

@@ -9,9 +9,19 @@ from hypothesis import strategies as st
 import oracles
 import strategies
 from eqnn import qnn
-from eqnn.circuit import Circuit, Gate, Input, Weight, bind, build_efm, build_real_amplitudes
+from eqnn.circuit import (
+    Circuit,
+    Gate,
+    Input,
+    Weight,
+    bind,
+    build_efm,
+    build_real_amplitudes,
+    concat,
+)
 from eqnn.data import Dataset, Sample, gen_linear, gen_two_class_usage
 from eqnn.errors import UsageError
+from eqnn.optim import initial_weights, make_objective
 from eqnn.qnn import (
     CROSS_ENTROPY,
     PARITY,
@@ -307,6 +317,148 @@ def test_batch_walked_in_blocks_equals_single_state_simulation(monkeypatch):
 
 
 # --------------------------------------------------------------------------
+# Bit rotations of wide registers
+
+
+def h_layer(n):
+    return Circuit(n, tuple(Gate("h", (q,)) for q in range(n)))
+
+
+def count_rotations(monkeypatch) -> list:
+    """Record the shift of every ``qnn._rotate`` call from now on."""
+    shifts = []
+    original = qnn._rotate
+
+    def spy(amps, d, out):
+        shifts.append(d)
+        return original(amps, d, out)
+
+    monkeypatch.setattr(qnn, "_rotate", spy)
+    return shifts
+
+
+def test_two_qubit_and_empty_walks_never_rotate(monkeypatch):
+    # 3000 rows run 3000 elements at bit position 0 and 6000 at position 1,
+    # so only the two-qubit rule keeps these walks from rotating: every
+    # loss, gradient and prediction of the named models walks as before.
+    shifts = count_rotations(monkeypatch)
+    dataset = gen_two_class_usage(per_class=1500, seed=9)
+    X = dataset.features_array()
+    for name in ("eqnn3", "benchmark"):
+        model = build_model(name)
+        objective = make_objective(model, dataset, CROSS_ENTROPY)
+        w = initial_weights(model.n_weights, seed=9)
+        objective.fun(w)
+        objective.grad(w)
+    for model in (simplified_model(),) + tuple(build_model(name) for name in ALL_NAMED):
+        predict_probs(model, X[:, : model.n_inputs], np.zeros(model.n_weights))
+    # A wide register with no rows has nothing to rotate.
+    wide = QnnModel("wide", h_layer(14), build_real_amplitudes(14, 1), PARITY)
+    assert predict_probs(wide, np.zeros((0, 0)), np.zeros(wide.n_weights)).shape == (0, 2)
+    assert shifts == []
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_rotated_walk_equals_the_unrotated_walk_bit_for_bit(data):
+    # Random h/phase/ry/cnot circuits on 1-12 qubits, walked real or complex
+    # from a random 1-D state or a (2**n, b) batch of them (one angle per
+    # column): with the fast-run threshold forced low, so that the walk
+    # rotates, every amplitude equals that of the walk that never rotates.
+    n = data.draw(st.integers(1, 12))
+    batch = data.draw(st.sampled_from([(), (1,), (2,), (3,)]))
+    circuit = data.draw(strategies.circuits(n, [Input(0)], max_gates=24))
+    X = data.draw(strategies.rows(batch[0] if batch else 1, circuit.input_arity))
+    gates = bind(circuit, X if batch else X[0], ())
+    dtype = qnn._walk_dtype(data.draw(st.sampled_from([float, complex])), gates)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    start = rng.normal(size=(1 << n,) + batch).astype(dtype)
+    if dtype == complex:
+        start += 1j * rng.normal(size=start.shape)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qnn, "_FAST_RUN", 1)  # every position is fast
+        plain = qnn._walk(gates, start, qnn._Workspace()).copy()
+        patch.setattr(qnn, "_FAST_RUN", 1 << data.draw(st.integers(1, n)))
+        rotated = qnn._walk(gates, start, qnn._Workspace())
+    assert rotated.dtype == plain.dtype
+    assert rotated.tobytes() == plain.tobytes()
+
+
+def test_wide_simulate_matches_the_tensordot_oracle():
+    # RealAmplitudes(14, 3) from |0...0> rotates 28 times (see the count
+    # test below); the oracle applies each gate by tensordot, and agrees
+    # with the dense matrix product on a small register.
+    small = build_real_amplitudes(4, 2)
+    gates = [(g.name, g.qubits, g.angle) for g in bind(small, (), np.linspace(-2, 2, 12))]
+    np.testing.assert_allclose(
+        oracles.tensor_state(4, gates), oracles.circuit_state(4, gates), rtol=0.0, atol=1e-14
+    )
+    n = 14
+    circuit = build_real_amplitudes(n, 3)
+    w = np.random.default_rng(40).uniform(-math.pi, math.pi, circuit.weight_arity)
+    gates = [(g.name, g.qubits, g.angle) for g in bind(circuit, (), w)]
+    np.testing.assert_allclose(
+        simulate(circuit, (), w).amps, oracles.tensor_state(n, gates), rtol=0.0, atol=1e-10
+    )
+
+
+def test_wide_walks_rotate_once_per_window_of_fast_positions(monkeypatch):
+    # A 1-D register of n > 12 qubits runs 2^12 elements only at the
+    # n - 12 bit positions from 12 on, so a layer of n one-qubit gates
+    # takes ceil(n / (n - 12)) rotations: 7 at 14 qubits, 4 at 17.
+    # RealAmplitudes(14, 3) has reps + 1 = 4 RY layers, and an H layer
+    # before it makes 5; a CNOT never rotates.  Each walk can end on an
+    # unrotated window, so none rotates back.  Every one-qubit gate lands
+    # on a fast position, so a walk that never rotates fails too.  Looking
+    # ahead matters for an H layer walked downwards, where the target's own
+    # window holds one gate (14 rotations), and at 17 qubits, where the last
+    # window would otherwise end rotated (5).
+    positions = []
+    original = qnn._apply
+
+    def spy(amps, name, qubits, *args):
+        positions.append(qubits)
+        return original(amps, name, qubits, *args)
+
+    monkeypatch.setattr(qnn, "_apply", spy)
+    shifts = count_rotations(monkeypatch)
+    n, reps = 14, 3
+    ansatz = build_real_amplitudes(n, reps)
+    w = np.linspace(-1.0, 1.0, ansatz.weight_arity)
+    model = QnnModel("wide", h_layer(n), ansatz, PARITY)
+    downwards = Circuit(n, h_layer(n).gates[::-1])
+    for call, qubits, layers in (
+        (lambda: simulate(ansatz, (), w), n, reps + 1),
+        (lambda: simulate(concat(h_layer(n), ansatz), (), w), n, reps + 2),
+        (lambda: predict_probs(model, np.zeros((1, 0)), w), n, reps + 2),
+        (lambda: simulate(downwards, (), ()), n, 1),
+        (lambda: simulate(h_layer(17), (), ()), 17, 1),
+    ):
+        shifts.clear()
+        positions.clear()
+        call()
+        assert 0 < len(shifts) <= layers * math.ceil(qubits / (qubits - 12))
+        assert all(q[0] >= 12 for q in positions if len(q) == 1)
+
+
+def test_wide_simulate_allocates_its_workspace_and_result_only():
+    # RealAmplitudes(16, 3) from |0...0> rotates 16 times between its two
+    # walk buffers; no rotation copies through a block-sized temporary, so
+    # the peak stays below the 2.5-block workspace plus the complex result
+    # (about 2.0 of 2.25 MB measured: the float start is the rest).
+    n = 16
+    circuit = build_real_amplitudes(n, 3)
+    w = np.linspace(-1.0, 1.0, circuit.weight_arity)
+    tracemalloc.start()
+    try:
+        state = simulate(circuit, (), w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * (1 << n) * 8 + state.amps.nbytes, peak
+
+
+# --------------------------------------------------------------------------
 # Losses
 
 
@@ -436,8 +588,7 @@ def test_wide_register_loss_stays_within_a_few_states():
     # 14 qubits and 3 rows: the walk starts from the 3 encoded states, never
     # from a 2**14 x 2**14 identity (2**28 amplitudes, 4 GiB of complex128).
     n = 14
-    h_layer = Circuit(n, tuple(Gate("h", (q,)) for q in range(n)))
-    model = QnnModel("wide", h_layer, build_real_amplitudes(n, 1), PARITY)
+    model = QnnModel("wide", h_layer(n), build_real_amplitudes(n, 1), PARITY)
     dataset = Dataset(tuple(Sample((), y) for y in (0, 1, 0)), "classification", "toy", 0)
     w = np.linspace(-1.0, 1.0, model.n_weights)
     tracemalloc.start()
