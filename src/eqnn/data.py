@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataFormatError, DegenerateRangeError, UsageError
+from .errors import DataFormatError, DegenerateRangeError, UsageError, _checked_seed
 
 REGRESSION_KIND = "regression"
 CLASSIFICATION_KIND = "classification"
@@ -101,7 +101,7 @@ def gen_linear(n: int = 200, seed: int = 0) -> Dataset:
     """y = x on x ~ Uniform[-1, 1]."""
     if n < 1:
         raise UsageError(f"need at least one sample, got n={n}")
-    x = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    x = np.random.default_rng(_checked_seed(seed)).uniform(-1.0, 1.0, n)
     return _regression_set("linear", seed, x, x)
 
 
@@ -109,7 +109,7 @@ def gen_sigmoid(n: int = 200, seed: int = 0) -> Dataset:
     """y = 2*s(raw) - 1 on raw ~ Uniform[-3, 3], stored feature raw/2."""
     if n < 1:
         raise UsageError(f"need at least one sample, got n={n}")
-    raw = np.random.default_rng(seed).uniform(-3.0, 3.0, n)
+    raw = np.random.default_rng(_checked_seed(seed)).uniform(-3.0, 3.0, n)
     y = 2.0 / (1.0 + np.exp(-raw)) - 1.0
     return _regression_set("sigmoid", seed, raw / 2.0, y)
 
@@ -118,7 +118,7 @@ def gen_tanh(n: int = 200, seed: int = 0) -> Dataset:
     """y = tanh(x) on x ~ Uniform[-1.5, 1.5]."""
     if n < 1:
         raise UsageError(f"need at least one sample, got n={n}")
-    x = np.random.default_rng(seed).uniform(-1.5, 1.5, n)
+    x = np.random.default_rng(_checked_seed(seed)).uniform(-1.5, 1.5, n)
     return _regression_set("tanh", seed, x, np.tanh(x))
 
 
@@ -132,7 +132,7 @@ def gen_two_class_usage(per_class: int = 500, seed: int = 0) -> Dataset:
     """
     if per_class < 1:
         raise UsageError(f"need at least one sample per class, got {per_class}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     mid0 = rng.uniform(0.5, 3.0, per_class)
     end0 = mid0 + rng.uniform(0.2, 2.0, per_class)
     mid1 = rng.uniform(6.0, 12.0, per_class)
@@ -170,7 +170,7 @@ def split_dataset(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Da
     """Seeded shuffle-split into (train, test)."""
     if not 0.0 < test_fraction < 1.0:
         raise UsageError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    order = np.random.default_rng(seed).permutation(len(dataset))
+    order = np.random.default_rng(_checked_seed(seed)).permutation(len(dataset))
     n_test = int(round(len(dataset) * test_fraction))
     if n_test == 0 or n_test == len(dataset):
         raise UsageError(

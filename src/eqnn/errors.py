@@ -66,3 +66,10 @@ class NonFiniteLossError(EqnnError):
         super().__init__(
             f"objective returned non-finite value {loss!r} at weights {list(weights)!r}"
         )
+
+
+def _checked_seed(seed: int) -> int:
+    """``seed``, refused below 0: numpy's generators take non-negative seeds only."""
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    return seed

@@ -51,6 +51,7 @@ from .errors import (
     NonFiniteLossError,
     UnsupportedModelError,
     UsageError,
+    _checked_seed,
 )
 
 COBYLA = "cobyla"
@@ -96,8 +97,7 @@ class OptimizerConfig:
             )
         if self.max_iters < 1:
             raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        _checked_seed(self.seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +134,7 @@ class _Counted:
 
 def initial_weights(n_weights: int, seed: int) -> np.ndarray:
     """Seeded uniform draw on [-pi, pi]."""
-    return np.random.default_rng(seed).uniform(-math.pi, math.pi, n_weights)
+    return np.random.default_rng(_checked_seed(seed)).uniform(-math.pi, math.pi, n_weights)
 
 
 def minimize(objective: Objective, w0, config: OptimizerConfig) -> TrainTrace:
@@ -264,9 +264,7 @@ def parameter_shift_gradient(
     without it one is built for this call, after the model and ``w`` pass.
     """
     _check_shift_precondition(model)
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1:
-        raise UsageError(f"the gradient takes one weight row, got shape {w.shape}")
+    w = qnn._weight_row(w)
     if _problem is None:
         _problem = qnn._Problem(model, dataset, kind)
     shifts = math.pi / 2.0 * np.eye(len(w))

@@ -18,27 +18,29 @@ Every evaluation goes through one gate walk, ``_walk``, over gates that
 ``bind`` evaluated for one row or a batch of rows, in one dtype from
 start to end: float64, or complex if a walked gate is a phase gate
 (``_walk_dtype``).  Before that gate every imaginary part is +0, so a
-complex start computes the same values as a real one.  Amplitudes are
-laid out as the kernels take them, ``(2**n, *batch)``.  There is one
-evaluation path: the weight-free feature map is walked once per dataset
-(``_encode``, a ``(2**n, N)`` state), then the variational circuit from
-those states under a weight row or a ``(B, m)`` batch of them
-(``_evolve``, walking ``(2**n, B, rows)``), in blocks of rows of at most
-256 KB (``_BLOCK_BYTES``).  Predictions walk one weight row and keep the
-basis probabilities; a training objective walks one row per loss and the
-2m+1 rows ``w``, ``w +- pi/2 e_j`` per gradient, and reduces each block
-by the head's readout.  No walk allocates a block-sized array per gate:
-the gates write in turn into the two walk buffers of a ``_Workspace``
-(2.5 blocks: two buffers and RY's half-size scratch), which grows to the
-largest walk it is given, and the readout squares and transposes each
-block in those same buffers.  Each ``simulate`` or prediction call owns
-one workspace, which a prediction's encode and walk share.  A training
-problem (``_Problem``: one model, dataset and loss kind) is validated,
-encoded and given its readout and its workspace once, and every loss
-and gradient of a training objective walks from it.  No returned array
-is a view into a workspace.  A batch row is identical to one-at-a-time
-simulation, every fitted value to the public prediction, and a wide
-register needs no ``2**n x 2**n`` matrix.
+complex start computes the same values as a real one.  The encoded
+states already take the whole circuit's dtype, so no walk promotes its
+start.  Amplitudes are laid out as the kernels take them,
+``(2**n, *batch)``.  There is one evaluation path: the weight-free
+feature map is walked once per dataset (``_encode``, a ``(2**n, N)``
+state), then the variational circuit from those states under a weight
+row or a ``(B, m)`` batch of them (``_evolve``, walking
+``(2**n, B, rows)``), in blocks of rows of at most 256 KB
+(``_BLOCK_BYTES``).  Predictions walk one weight row and keep the basis
+probabilities; a training objective walks one row per loss and the 2m+1
+rows ``w``, ``w +- pi/2 e_j`` per gradient, and reduces each block by
+the head's readout.  No walk allocates a block-sized array per gate: the
+gates write in turn into the two walk buffers of a ``_Workspace`` (2.5
+blocks: two buffers and RY's half-size scratch), which grows to the
+largest walk it is given, and one pass squares each walked block into
+the spare buffer, amplitude-last, for the readout.  Each ``simulate`` or
+prediction call owns one workspace, which a prediction's encode and walk
+share.  A training problem (``_Problem``: one model, dataset and loss
+kind) is validated, encoded and given its readout and its workspace
+once, and every loss and gradient of a training objective walks from it.
+No returned array is a view into a workspace.  A batch row is identical
+to one-at-a-time simulation, every fitted value to the public
+prediction, and a wide register needs no ``2**n x 2**n`` matrix.
 
 A walk of a wide register keeps its amplitudes in a rotated bit order:
 logical qubit ``q`` at bit position ``(q + r) % n`` for one offset ``r``,
@@ -268,7 +270,7 @@ def _rotate(amps: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
     target = out.reshape((1 << (n - d), 1 << d) + amps.shape[1:])
     step = max(32, _TILE_BYTES // source[0].nbytes)
     for i in range(0, 1 << d, step):
-        np.copyto(target[:, i : i + step], source[i : i + step].swapaxes(0, 1))
+        target[:, i : i + step] = source[i : i + step].swapaxes(0, 1)
     return out
 
 
@@ -344,9 +346,9 @@ def _blocks(n_rows: int, row_bytes: int) -> list[slice]:
 
 
 def _encode(model: QnnModel, X: np.ndarray, work: _Workspace) -> np.ndarray:
-    """The feature-map state of each row of the float ``(N, n_inputs)`` ``X``: ``(2**n, N)``."""
+    """The ``(2**n, N)`` feature-map states of the float ``X``, in the whole circuit's dtype."""
     dim = 1 << model.n_qubits
-    psi = np.empty((dim, len(X)), _walk_dtype(float, model.feature_map.gates))
+    psi = np.empty((dim, len(X)), _walk_dtype(float, model.circuit.gates))
     for rows in _blocks(len(X), psi.itemsize * dim):
         psi[:, rows] = _amplitudes(model.feature_map, X[rows], (), work)
     return psi
@@ -358,34 +360,35 @@ def _evolve(
     """Walk the variational circuit from the encoded states ``psi`` under each weight row.
 
     ``weights`` is a ``(B, m)`` batch, or one row taken as B = 1, and ``psi``
-    is ``(2**n, N)``.  Returns the ``(B, N, 2**n)`` probabilities, or their
-    ``(B, N)`` products with ``readout``.  The circuit is bound once and
-    walked from ``(2**n, B, rows)``: B copies of each block of columns of
-    ``psi``, promoted to the walk's dtype.  Each block's squared amplitudes
-    go to the spare walk buffer of ``work``, and move back to
-    amplitude-last, contiguous, into the other one before the readout.
+    is ``(2**n, N)`` in the walk's dtype (see ``_encode``).  Returns the
+    ``(B, N, 2**n)`` probabilities, or their ``(B, N)`` products with
+    ``readout``.  The circuit is bound once and walked from
+    ``(2**n, B, rows)``: B copies of each block of columns of ``psi``.
+    One pass squares each block into the spare walk buffer of ``work``,
+    amplitude-last and contiguous, for the copy out or the readout.
     """
     gates = bind(model.variational, (), weights)
     batch = len(weights) if np.ndim(weights) == 2 else 1
-    psi = psi.astype(_walk_dtype(psi.dtype, gates), copy=False)
     dim, n_rows = psi.shape
     out = np.empty((batch, n_rows) + ((dim,) if readout is None else ()))
     for rows in _blocks(n_rows, batch * psi.itemsize * dim):
         block = psi[:, None, rows]
         amps = _walk(gates, np.broadcast_to(block, (dim, batch, block.shape[2])), work)
-        squares = _as(work.spare(amps), amps.shape, float)
-        if np.iscomplexobj(amps):
-            np.square(np.abs(amps, out=squares), out=squares)
-        else:
-            np.square(amps, out=squares)
-        probs = np.moveaxis(squares, 0, -1)
-        if readout is None:
-            out[:, rows] = probs
-        else:
-            flat = _as(work.spare(squares), probs.shape, float)
-            np.copyto(flat, probs)
-            out[:, rows] = flat @ readout
+        probs = _as(work.spare(amps), (batch, block.shape[2], dim), float)
+        squares = probs.transpose(2, 0, 1)  # amplitude-first, like amps
+        np.square(np.abs(amps, out=squares), out=squares)
+        out[:, rows] = probs if readout is None else probs @ readout
     return out
+
+
+def _weight_row(w) -> np.ndarray:
+    """``w`` as one float weight row; refuses any other shape or a non-finite weight."""
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 1:
+        raise UsageError(f"expected one weight row, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise UsageError(f"weight {int(np.argmin(np.isfinite(w)))} is not finite")
+    return w
 
 
 def probabilities_batch(model: QnnModel, X, w) -> np.ndarray:
@@ -394,14 +397,10 @@ def probabilities_batch(model: QnnModel, X, w) -> np.ndarray:
     Refuses a non-finite feature or weight, naming its row or index.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1:
-        raise UsageError(f"predictions take one weight row, got shape {w.shape}")
+    w = _weight_row(w)
     if not np.isfinite(X).all():
         row = int(np.argwhere(~np.isfinite(X))[0, 0])
         raise UsageError(f"input row {row} has a non-finite feature")
-    if not np.isfinite(w).all():
-        raise UsageError(f"weight {int(np.argmin(np.isfinite(w)))} is not finite")
     work = _Workspace()
     return _evolve(model, w, _encode(model, X, work), work)[0]
 
@@ -413,7 +412,7 @@ def predict_regression(model: QnnModel, X, w) -> np.ndarray:
 
 def predict_probs(model: QnnModel, X, w) -> np.ndarray:
     """Class-probability pairs (P(class 0), P(class 1)), shape (batch, 2)."""
-    even = probabilities_batch(model, X, w) @ (parity_signs(model.n_qubits) > 0).astype(float)
+    even = probabilities_batch(model, X, w) @ np.where(parity_signs(model.n_qubits) > 0, 1.0, 0.0)
     return np.stack([even, 1.0 - even], axis=-1)
 
 
@@ -457,7 +456,7 @@ class _Problem:
         self.work = _Workspace()
         self.psi = _encode(model, X, self.work)
         signs = parity_signs(model.n_qubits)
-        self.readout = signs if kind == SQUARED_ERROR else (signs > 0).astype(float)
+        self.readout = signs if kind == SQUARED_ERROR else np.where(signs > 0, 1.0, 0.0)
         self.label_one = self.targets == 1
 
     def fitted(self, weights) -> np.ndarray:
@@ -489,18 +488,20 @@ def _loss_and_slope(fitted: np.ndarray, targets: np.ndarray, kind: str):
 def batch_loss(model: QnnModel, w, dataset, kind: str, *, _problem=None) -> float:
     """Arithmetic mean of per-sample losses over a dataset (see ``_loss_and_slope``).
 
+    Refuses a non-finite weight, or more than one row of them, first.
     ``_problem`` is the caller's ``_Problem`` for these arguments; without
     it one is built for this call.
     """
+    w = _weight_row(w)
     if _problem is None:
         _problem = _Problem(model, dataset, kind)
-    fitted = _problem.fitted(np.asarray(w, dtype=float)[None])[0]
+    fitted = _problem.fitted(w[None])[0]
     return float(np.mean(_loss_and_slope(fitted, _problem.targets, kind)[0]))
 
 
 def decide(p0, p1):
     """The hard decision rule on probabilities or arrays of them: tie -> class 0."""
-    return (np.asarray(p1) > p0).astype(int)
+    return np.int_(np.asarray(p1) > p0)
 
 
 def accuracy(model: QnnModel, w, dataset) -> float:
@@ -511,7 +512,7 @@ def accuracy(model: QnnModel, w, dataset) -> float:
         raise UsageError("accuracy needs a parity-head model and labeled classes")
     probs = predict_probs(model, dataset.features_array(), w)
     predicted = decide(probs[:, 0], probs[:, 1])
-    return float(np.mean(predicted == dataset.targets_array().astype(int)))
+    return float(np.mean(predicted == dataset.targets_array()))
 
 
 def gate_summary(model: QnnModel) -> dict:

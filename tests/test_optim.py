@@ -15,7 +15,15 @@ import oracles
 import strategies
 from eqnn import optim, qnn
 from eqnn.circuit import Circuit, Gate, Input, Weight, build_real_amplitudes
-from eqnn.data import Dataset, Sample, gen_linear, gen_two_class_usage
+from eqnn.data import (
+    Dataset,
+    Sample,
+    gen_linear,
+    gen_sigmoid,
+    gen_tanh,
+    gen_two_class_usage,
+    split_dataset,
+)
 from eqnn.errors import (
     ConfigurationError,
     NonFiniteLossError,
@@ -92,6 +100,26 @@ def test_config_rejects_negative_seed():
     with pytest.raises(ConfigurationError):
         OptimizerConfig(kind="spsa", seed=-1)
     assert OptimizerConfig(kind="spsa", seed=0).seed == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: initial_weights(3, -1),
+        lambda: gen_linear(3, -1),
+        lambda: gen_sigmoid(3, -1),
+        lambda: gen_tanh(3, -1),
+        lambda: gen_two_class_usage(3, -1),
+        lambda: split_dataset(gen_linear(4, 0), 0.5, -1),
+    ],
+    ids=["initial_weights", "gen_linear", "gen_sigmoid", "gen_tanh",
+         "gen_two_class_usage", "split_dataset"],
+)
+def test_seeded_calls_reject_negative_seed(call):
+    # Every seeded call refuses a negative seed as ``OptimizerConfig`` does,
+    # with the package's own error, not numpy's ValueError.
+    with pytest.raises(ConfigurationError, match="seed must be >= 0, got -1"):
+        call()
 
 
 def test_minimize_checks_dimensions():
@@ -603,7 +631,7 @@ def test_shift_gradient_validates_shapes_and_pairing():
     classes = gen_two_class_usage(per_class=3, seed=1)
     with pytest.raises(UsageError, match="one weight row"):
         parameter_shift_gradient(build_model("eqnn1"), np.zeros((4, 4)), classes, CROSS_ENTROPY)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="one weight row"):
         batch_loss(build_model("eqnn1"), np.zeros((1, 4)), classes, CROSS_ENTROPY)
 
 

@@ -21,7 +21,7 @@ from eqnn.circuit import (
 )
 from eqnn.data import Dataset, Sample, gen_linear, gen_two_class_usage
 from eqnn.errors import UsageError
-from eqnn.optim import initial_weights, make_objective
+from eqnn.optim import initial_weights, make_objective, parameter_shift_gradient
 from eqnn.qnn import (
     CROSS_ENTROPY,
     PARITY,
@@ -218,7 +218,7 @@ def test_forward_arity_validation():
 def test_predictions_refuse_a_non_finite_feature_or_weight(problem, data):
     # A nan or +-inf in one input row, or in one weight, is refused before
     # any walk, naming its row or weight; it never reads as a nan
-    # probability, or as class 0 in an accuracy.
+    # probability, as class 0 in an accuracy, or as a nan loss or gradient.
     model, kind, w, dataset = problem
     X, w = dataset.features_array().copy(), w.copy()
     value = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
@@ -230,6 +230,10 @@ def test_predictions_refuse_a_non_finite_feature_or_weight(problem, data):
         j = data.draw(st.integers(0, len(w) - 1))
         w[j] = value
         message = f"weight {j} is not finite"
+        with pytest.raises(UsageError, match=message):
+            batch_loss(model, w, dataset, kind)
+        with pytest.raises(UsageError, match=message):
+            parameter_shift_gradient(model, w, dataset, kind)
     with pytest.raises(UsageError, match=message):
         predict_probs(model, X, w)
     with pytest.raises(UsageError, match=message):
@@ -566,11 +570,12 @@ def test_fused_loss_is_mean_of_per_row_losses_on_any_model(problem):
     assert batch_loss(model, w, dataset, kind) == pytest.approx(want, rel=0.0, abs=1e-12)
 
 
-@given(problem=strategies.problems(), data=st.data())
+@given(problem=strategies.problems(strategies.ANY_MODELS), data=st.data())
 def test_contracted_values_equal_public_predictions_bit_for_bit(problem, data):
     # Each row of a weight batch walks the variational circuit from the
     # encoded rows with the same arithmetic as a prediction's one weight
-    # row, so every fitted value equals the public prediction exactly.
+    # row, so every fitted value equals the public prediction exactly;
+    # random models put phase gates in either circuit.
     model, kind, w, dataset = problem
     W = np.vstack([w, data.draw(strategies.rows(data.draw(st.integers(0, 4)), len(w)))])
     X, targets = dataset.features_array(), dataset.targets_array()
