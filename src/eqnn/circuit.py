@@ -25,7 +25,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .statevector import MAX_QUBITS
+from .statevector import _checked_qubits
 
 # --------------------------------------------------------------------------
 # Angle expressions
@@ -201,10 +201,7 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ConfigurationError(
-                f"n_qubits must be between 1 and {MAX_QUBITS}, got {self.n_qubits}"
-            )
+        _checked_qubits(self.n_qubits)
         object.__setattr__(self, "gates", tuple(self.gates))
         for gate in self.gates:
             self._check_gate(gate)

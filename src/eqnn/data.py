@@ -97,28 +97,29 @@ def _regression_set(name: str, seed: int, features, targets) -> Dataset:
     return Dataset(samples, REGRESSION_KIND, name, seed)
 
 
-def gen_linear(n: int = 200, seed: int = 0) -> Dataset:
-    """y = x on x ~ Uniform[-1, 1]."""
+def _uniform_draw(n: int, seed: int, half_width: float) -> np.ndarray:
+    """``n`` seeded draws from Uniform[-half_width, half_width]; refuses n < 1."""
     if n < 1:
         raise UsageError(f"need at least one sample, got n={n}")
-    x = np.random.default_rng(_checked_seed(seed)).uniform(-1.0, 1.0, n)
+    return np.random.default_rng(_checked_seed(seed)).uniform(-half_width, half_width, n)
+
+
+def gen_linear(n: int = 200, seed: int = 0) -> Dataset:
+    """y = x on x ~ Uniform[-1, 1]."""
+    x = _uniform_draw(n, seed, 1.0)
     return _regression_set("linear", seed, x, x)
 
 
 def gen_sigmoid(n: int = 200, seed: int = 0) -> Dataset:
     """y = 2*s(raw) - 1 on raw ~ Uniform[-3, 3], stored feature raw/2."""
-    if n < 1:
-        raise UsageError(f"need at least one sample, got n={n}")
-    raw = np.random.default_rng(_checked_seed(seed)).uniform(-3.0, 3.0, n)
+    raw = _uniform_draw(n, seed, 3.0)
     y = 2.0 / (1.0 + np.exp(-raw)) - 1.0
     return _regression_set("sigmoid", seed, raw / 2.0, y)
 
 
 def gen_tanh(n: int = 200, seed: int = 0) -> Dataset:
     """y = tanh(x) on x ~ Uniform[-1.5, 1.5]."""
-    if n < 1:
-        raise UsageError(f"need at least one sample, got n={n}")
-    x = np.random.default_rng(_checked_seed(seed)).uniform(-1.5, 1.5, n)
+    x = _uniform_draw(n, seed, 1.5)
     return _regression_set("tanh", seed, x, np.tanh(x))
 
 

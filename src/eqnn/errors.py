@@ -12,6 +12,8 @@ Two broad families:
 
 from __future__ import annotations
 
+import numbers
+
 
 class EqnnError(Exception):
     """Base class for all package-specific errors."""
@@ -69,7 +71,9 @@ class NonFiniteLossError(EqnnError):
 
 
 def _checked_seed(seed: int) -> int:
-    """``seed``, refused below 0: numpy's generators take non-negative seeds only."""
+    """``seed``, refused unless an integer >= 0: numpy's generators take no other."""
+    if not isinstance(seed, numbers.Integral):
+        raise ConfigurationError(f"seed must be an integer, got {seed}")
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
     return seed

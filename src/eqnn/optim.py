@@ -39,6 +39,7 @@ offending weights attached to the exception.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -95,8 +96,8 @@ class OptimizerConfig:
             raise UsageError(
                 f"unknown optimizer {self.kind!r}; expected one of {OPTIMIZER_NAMES}"
             )
-        if self.max_iters < 1:
-            raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ConfigurationError(f"max_iters must be an integer >= 1, got {self.max_iters}")
         _checked_seed(self.seed)
 
 

@@ -18,29 +18,28 @@ Every evaluation goes through one gate walk, ``_walk``, over gates that
 ``bind`` evaluated for one row or a batch of rows, in one dtype from
 start to end: float64, or complex if a walked gate is a phase gate
 (``_walk_dtype``).  Before that gate every imaginary part is +0, so a
-complex start computes the same values as a real one.  The encoded
-states already take the whole circuit's dtype, so no walk promotes its
-start.  Amplitudes are laid out as the kernels take them,
-``(2**n, *batch)``.  There is one evaluation path: the weight-free
-feature map is walked once per dataset (``_encode``, a ``(2**n, N)``
-state), then the variational circuit from those states under a weight
-row or a ``(B, m)`` batch of them (``_evolve``, walking
-``(2**n, B, rows)``), in blocks of rows of at most 256 KB
-(``_BLOCK_BYTES``).  Predictions walk one weight row and keep the basis
-probabilities; a training objective walks one row per loss and the 2m+1
-rows ``w``, ``w +- pi/2 e_j`` per gradient, and reduces each block by
-the head's readout.  No walk allocates a block-sized array per gate: the
-gates write in turn into the two walk buffers of a ``_Workspace`` (2.5
-blocks: two buffers and RY's half-size scratch), which grows to the
-largest walk it is given, and one pass squares each walked block into
-the spare buffer, amplitude-last, for the readout.  Each ``simulate`` or
-prediction call owns one workspace, which a prediction's encode and walk
-share.  A training problem (``_Problem``: one model, dataset and loss
-kind) is validated, encoded and given its readout and its workspace
-once, and every loss and gradient of a training objective walks from it.
-No returned array is a view into a workspace.  A batch row is identical
-to one-at-a-time simulation, every fitted value to the public
-prediction, and a wide register needs no ``2**n x 2**n`` matrix.
+complex start computes the same values as a real one.  Amplitudes are
+laid out as the kernels take them, ``(2**n, *batch)``.  There is one
+rule: walk the bound circuit from |0...0> (``_amplitudes``), a batch in
+blocks of rows of at most 256 KB (``_BLOCK_BYTES``).  ``simulate``
+walks one row; a prediction walks the model circuit bound to each block
+of rows and the weight row, and squares the block straight into its
+output.  Only a training problem (``_Problem``: one model, dataset and
+loss kind) caches the weight-free feature map's states (``_encode``, a
+``(2**n, N)`` state in the whole circuit's dtype), because every loss
+and gradient walks that prefix again.  Each of them walks the
+variational circuit from those states under a ``(B, m)`` batch of weight
+rows, one per loss and the 2m+1 rows ``w``, ``w +- pi/2 e_j`` per
+gradient, walking ``(2**n, B, rows)``; one pass squares each block into
+the spare walk buffer, amplitude-last, for the head's readout.  No walk
+allocates a block-sized array per gate: the gates write in turn into the
+two walk buffers of a ``_Workspace`` (2.5 blocks: two buffers and RY's
+half-size scratch), which grows to the largest walk it is given.  Each
+``simulate`` or prediction call owns one workspace; a training problem
+is validated, encoded and given its readout and its workspace once.  No
+returned array is a view into a workspace.  A batch row is identical to
+one-at-a-time simulation, every fitted value to the public prediction,
+and a wide register needs no ``2**n x 2**n`` matrix.
 
 A walk of a wide register keeps its amplitudes in a rotated bit order:
 logical qubit ``q`` at bit position ``(q + r) % n`` for one offset ``r``,
@@ -354,33 +353,6 @@ def _encode(model: QnnModel, X: np.ndarray, work: _Workspace) -> np.ndarray:
     return psi
 
 
-def _evolve(
-    model: QnnModel, weights, psi: np.ndarray, work: _Workspace, readout=None
-) -> np.ndarray:
-    """Walk the variational circuit from the encoded states ``psi`` under each weight row.
-
-    ``weights`` is a ``(B, m)`` batch, or one row taken as B = 1, and ``psi``
-    is ``(2**n, N)`` in the walk's dtype (see ``_encode``).  Returns the
-    ``(B, N, 2**n)`` probabilities, or their ``(B, N)`` products with
-    ``readout``.  The circuit is bound once and walked from
-    ``(2**n, B, rows)``: B copies of each block of columns of ``psi``.
-    One pass squares each block into the spare walk buffer of ``work``,
-    amplitude-last and contiguous, for the copy out or the readout.
-    """
-    gates = bind(model.variational, (), weights)
-    batch = len(weights) if np.ndim(weights) == 2 else 1
-    dim, n_rows = psi.shape
-    out = np.empty((batch, n_rows) + ((dim,) if readout is None else ()))
-    for rows in _blocks(n_rows, batch * psi.itemsize * dim):
-        block = psi[:, None, rows]
-        amps = _walk(gates, np.broadcast_to(block, (dim, batch, block.shape[2])), work)
-        probs = _as(work.spare(amps), (batch, block.shape[2], dim), float)
-        squares = probs.transpose(2, 0, 1)  # amplitude-first, like amps
-        np.square(np.abs(amps, out=squares), out=squares)
-        out[:, rows] = probs if readout is None else probs @ readout
-    return out
-
-
 def _weight_row(w) -> np.ndarray:
     """``w`` as one float weight row; refuses any other shape or a non-finite weight."""
     w = np.asarray(w, dtype=float)
@@ -394,6 +366,8 @@ def _weight_row(w) -> np.ndarray:
 def probabilities_batch(model: QnnModel, X, w) -> np.ndarray:
     """Basis-state probabilities for each input row: shape (batch, 2**n).
 
+    Each block of rows walks the model circuit, bound to those rows and
+    ``w``, from |0...0>, and is squared into its rows of the output.
     Refuses a non-finite feature or weight, naming its row or index.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -401,8 +375,12 @@ def probabilities_batch(model: QnnModel, X, w) -> np.ndarray:
     if not np.isfinite(X).all():
         row = int(np.argwhere(~np.isfinite(X))[0, 0])
         raise UsageError(f"input row {row} has a non-finite feature")
-    work = _Workspace()
-    return _evolve(model, w, _encode(model, X, work), work)[0]
+    dim = 1 << model.n_qubits
+    out, work = np.empty((len(X), dim)), _Workspace()
+    for rows in _blocks(len(X), dim * _walk_dtype(float, model.circuit.gates).itemsize):
+        t = out[rows].T  # amplitude-first, like the walked block
+        np.square(np.abs(_amplitudes(model.circuit, X[rows], w, work), out=t), out=t)
+    return out
 
 
 def predict_regression(model: QnnModel, X, w) -> np.ndarray:
@@ -462,10 +440,22 @@ class _Problem:
     def fitted(self, weights) -> np.ndarray:
         """Fitted values of every row under each row of the ``(B, m)`` ``weights``: ``(B, N)``.
 
-        A fitted value is y' for squared error and P(label) for
-        cross-entropy, turned from P(class 0) in place.
+        The variational circuit walks ``(2**n, B, rows)``, B copies of each
+        block of ``psi``; one pass squares the block into the spare walk
+        buffer, amplitude-last, for the readout.  A fitted value is y' for
+        squared error and P(label) for cross-entropy, turned from P(class 0)
+        in place.
         """
-        fitted = _evolve(self.model, weights, self.psi, self.work, self.readout)
+        gates = bind(self.model.variational, (), weights)
+        (dim, n_rows), batch = self.psi.shape, len(weights)
+        fitted = np.empty((batch, n_rows))
+        for rows in _blocks(n_rows, batch * self.psi.itemsize * dim):
+            block = self.psi[:, None, rows]
+            amps = _walk(gates, np.broadcast_to(block, (dim, batch, block.shape[2])), self.work)
+            probs = _as(self.work.spare(amps), (batch, block.shape[2], dim), float)
+            squares = probs.transpose(2, 0, 1)  # amplitude-first, like amps
+            np.square(np.abs(amps, out=squares), out=squares)
+            fitted[:, rows] = probs @ self.readout
         if self.kind == CROSS_ENTROPY:
             np.subtract(1.0, fitted, out=fitted, where=self.label_one)
         return fitted

@@ -45,6 +45,13 @@ MAX_QUBITS = 20
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
+def _checked_qubits(n_qubits: int) -> int:
+    """``n_qubits``, refused outside 1..``MAX_QUBITS``."""
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ConfigurationError(f"n_qubits must be between 1 and {MAX_QUBITS}, got {n_qubits}")
+    return n_qubits
+
+
 def _qubit_count(dim: int) -> int:
     n = dim.bit_length() - 1
     if dim <= 0 or 1 << n != dim:
@@ -176,10 +183,7 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ConfigurationError(
-                f"n_qubits must be between 1 and {MAX_QUBITS}, got {self.n_qubits}"
-            )
+        _checked_qubits(self.n_qubits)
         amps = np.array(self.amps, dtype=complex)
         if amps.shape != (1 << self.n_qubits,):
             raise UsageError(
@@ -218,11 +222,7 @@ class RY:
 
 def zero_state(n_qubits: int) -> StateVector:
     """The all-zeros computational basis state |0...0>."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ConfigurationError(
-            f"n_qubits must be between 1 and {MAX_QUBITS}, got {n_qubits}"
-        )
-    amps = np.zeros(1 << n_qubits, dtype=complex)
+    amps = np.zeros(1 << _checked_qubits(n_qubits), dtype=complex)
     amps[0] = 1.0
     return StateVector(n_qubits, amps)
 

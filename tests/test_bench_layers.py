@@ -1,12 +1,15 @@
-"""Every layer the benchmark traces names a public function of the package.
+"""Every package name the benchmark uses exists.
 
 The benchmark wraps public functions by name, so a renamed one leaves its
-layer ``MISSING`` in a traced run.  This loads the benchmark's modules,
-read-only, so that such a rename fails here first.
+layer ``MISSING`` in a traced run; and its workloads call package names
+directly, so a renamed one crashes a workload.  This reads the benchmark's
+modules, read-only, so that such a rename fails here first.
 """
 
+import importlib
 import importlib.util
 import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -35,3 +38,18 @@ def test_every_traced_name_is_a_public_function_and_every_expected_layer_is_trac
     assert sorted(name for name in names if not is_public_function(name)) == []
     for workload in workloads.WORKLOADS.values():
         assert set(workload.expected_layers) - set(run.LAYERS) == set(), workload.name
+
+
+def test_every_package_name_the_benchmark_uses_directly_resolves():
+    used = {
+        match.groups()
+        for path in BENCH.glob("*.py")
+        for match in re.finditer(r"eqnn\.([a-z_]+)\.(\w+)", path.read_text())
+    }
+    assert used
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(used)
+        if not hasattr(importlib.import_module(f"eqnn.{module}"), name)
+    ]
+    assert missing == []

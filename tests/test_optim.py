@@ -93,6 +93,10 @@ def test_config_validation():
         OptimizerConfig(kind="adam")
     with pytest.raises(ConfigurationError):
         OptimizerConfig(kind="spsa", max_iters=0)
+    # A float budget would run all of COBYLA before failing on a slice.
+    with pytest.raises(ConfigurationError, match="max_iters must be an integer >= 1, got 2.5"):
+        OptimizerConfig(kind="cobyla", max_iters=2.5)
+    assert OptimizerConfig(kind="spsa", max_iters=np.int64(3)).max_iters == 3
 
 
 def test_config_rejects_negative_seed():
@@ -102,24 +106,35 @@ def test_config_rejects_negative_seed():
     assert OptimizerConfig(kind="spsa", seed=0).seed == 0
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: initial_weights(3, -1),
-        lambda: gen_linear(3, -1),
-        lambda: gen_sigmoid(3, -1),
-        lambda: gen_tanh(3, -1),
-        lambda: gen_two_class_usage(3, -1),
-        lambda: split_dataset(gen_linear(4, 0), 0.5, -1),
-    ],
-    ids=["initial_weights", "gen_linear", "gen_sigmoid", "gen_tanh",
-         "gen_two_class_usage", "split_dataset"],
-)
+SEEDED_CALLS = {
+    "initial_weights": lambda seed: initial_weights(3, seed),
+    "gen_linear": lambda seed: gen_linear(3, seed),
+    "gen_sigmoid": lambda seed: gen_sigmoid(3, seed),
+    "gen_tanh": lambda seed: gen_tanh(3, seed),
+    "gen_two_class_usage": lambda seed: gen_two_class_usage(3, seed),
+    "split_dataset": lambda seed: split_dataset(gen_linear(4, 0), 0.5, seed),
+}
+
+
+@pytest.mark.parametrize("call", SEEDED_CALLS.values(), ids=SEEDED_CALLS.keys())
 def test_seeded_calls_reject_negative_seed(call):
     # Every seeded call refuses a negative seed as ``OptimizerConfig`` does,
     # with the package's own error, not numpy's ValueError.
     with pytest.raises(ConfigurationError, match="seed must be >= 0, got -1"):
-        call()
+        call(-1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [*SEEDED_CALLS.values(), lambda seed: OptimizerConfig(kind="spsa", seed=seed)],
+    ids=[*SEEDED_CALLS, "OptimizerConfig"],
+)
+def test_seeded_calls_reject_non_integer_seed(call):
+    # numpy's generators would refuse 1.5 with a TypeError of their own;
+    # any integer type, numpy's included, is a seed.
+    with pytest.raises(ConfigurationError, match="seed must be an integer, got 1.5"):
+        call(1.5)
+    call(np.int64(1))
 
 
 def test_minimize_checks_dimensions():
@@ -352,9 +367,10 @@ def test_objective_writes_every_kernel_output_into_its_own_workspace(monkeypatch
 
 
 def test_prediction_encodes_and_walks_in_one_workspace(monkeypatch):
-    # One call's encode and walk write every gate's output into the same
-    # two walk buffers: 5000 benchmark rows, complex, take two blocks of
-    # each at 256 KB.
+    # One call walks each block of rows through the whole bound circuit,
+    # feature map and variational part alike, and every gate writes into
+    # the same two walk buffers: 5000 benchmark rows, complex, take two
+    # blocks at 256 KB.
     outputs = []
     original = qnn._apply
 

@@ -462,6 +462,23 @@ def test_wide_simulate_allocates_its_workspace_and_result_only():
     assert peak < 2.5 * (1 << n) * 8 + state.amps.nbytes, peak
 
 
+def test_prediction_holds_only_its_workspace_and_its_output():
+    # 64 rows of a 14-qubit register: each block is walked from |0...0> and
+    # squared straight into the 8 MiB output, so no (2**n, N) state of the
+    # encoded rows is held beside it (about 1.12x measured; 2.1x with one).
+    n, rows = 14, 64
+    model = QnnModel("wide", h_layer(n), build_real_amplitudes(n, 1), PARITY)
+    w = np.linspace(-1.0, 1.0, model.n_weights)
+    tracemalloc.start()
+    try:
+        probs = probabilities_batch(model, np.zeros((rows, 0)), w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert probs.shape == (rows, 1 << n)
+    assert peak < 1.25 * probs.nbytes, peak
+
+
 # --------------------------------------------------------------------------
 # Losses
 
