@@ -24,7 +24,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError, UsageError, _checked_integer
 from .statevector import _checked_qubits
 
 # --------------------------------------------------------------------------
@@ -215,6 +215,7 @@ class Circuit:
                 f"{gate.name} takes {want} qubit(s), got {gate.qubits!r}"
             )
         for q in gate.qubits:
+            _checked_integer(q, "qubit index")
             if not 0 <= q < self.n_qubits:
                 raise UsageError(
                     f"qubit {q} out of range for {self.n_qubits}-qubit circuit"
@@ -355,7 +356,8 @@ def build_real_amplitudes(n_qubits: int = 2, reps: int = 1) -> Circuit:
     rotate q1.  Total: ``n_qubits*(reps+1)`` weights and, for 2 qubits,
     ``2 + 3*reps`` gates.
     """
-    if reps < 0:
+    _checked_qubits(n_qubits)
+    if _checked_integer(reps, "reps", ConfigurationError) < 0:
         raise ConfigurationError(f"reps must be non-negative, got {reps}")
     gates: list[Gate] = []
 

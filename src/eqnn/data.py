@@ -34,7 +34,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataFormatError, DegenerateRangeError, UsageError, _checked_seed
+from .errors import (
+    DataFormatError,
+    DegenerateRangeError,
+    UsageError,
+    _checked_integer,
+    _checked_seed,
+)
 
 REGRESSION_KIND = "regression"
 CLASSIFICATION_KIND = "classification"
@@ -99,7 +105,7 @@ def _regression_set(name: str, seed: int, features, targets) -> Dataset:
 
 def _uniform_draw(n: int, seed: int, half_width: float) -> np.ndarray:
     """``n`` seeded draws from Uniform[-half_width, half_width]; refuses n < 1."""
-    if n < 1:
+    if _checked_integer(n, "n") < 1:
         raise UsageError(f"need at least one sample, got n={n}")
     return np.random.default_rng(_checked_seed(seed)).uniform(-half_width, half_width, n)
 
@@ -131,7 +137,7 @@ def gen_two_class_usage(per_class: int = 500, seed: int = 0) -> Dataset:
     fixed (class 0 mids, class 0 increments, class 1 mids, class 1
     increments) so a seed pins the dataset exactly.
     """
-    if per_class < 1:
+    if _checked_integer(per_class, "per_class") < 1:
         raise UsageError(f"need at least one sample per class, got {per_class}")
     rng = np.random.default_rng(_checked_seed(seed))
     mid0 = rng.uniform(0.5, 3.0, per_class)

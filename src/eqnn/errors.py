@@ -70,10 +70,16 @@ class NonFiniteLossError(EqnnError):
         )
 
 
+def _checked_integer(value, name: str, error: type[EqnnError] = UsageError):
+    """``value``, refused with ``error`` naming ``name`` unless an integer of any type."""
+    if not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value}")
+    return value
+
+
 def _checked_seed(seed: int) -> int:
     """``seed``, refused unless an integer >= 0: numpy's generators take no other."""
-    if not isinstance(seed, numbers.Integral):
-        raise ConfigurationError(f"seed must be an integer, got {seed}")
+    _checked_integer(seed, "seed", ConfigurationError)
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
     return seed

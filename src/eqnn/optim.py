@@ -52,6 +52,7 @@ from .errors import (
     NonFiniteLossError,
     UnsupportedModelError,
     UsageError,
+    _checked_integer,
     _checked_seed,
 )
 
@@ -135,6 +136,7 @@ class _Counted:
 
 def initial_weights(n_weights: int, seed: int) -> np.ndarray:
     """Seeded uniform draw on [-pi, pi]."""
+    _checked_integer(n_weights, "n_weights")
     return np.random.default_rng(_checked_seed(seed)).uniform(-math.pi, math.pi, n_weights)
 
 

@@ -26,6 +26,7 @@ from eqnn.data import (
 )
 from eqnn.errors import (
     ConfigurationError,
+    EqnnError,
     NonFiniteLossError,
     UnsupportedModelError,
     UsageError,
@@ -56,6 +57,7 @@ from eqnn.qnn import (
     predict_probs,
     simplified_model,
 )
+from eqnn.statevector import zero_state
 
 
 def quadratic(center):
@@ -135,6 +137,45 @@ def test_seeded_calls_reject_non_integer_seed(call):
     with pytest.raises(ConfigurationError, match="seed must be an integer, got 1.5"):
         call(1.5)
     call(np.int64(1))
+
+
+SIZED_CALLS = {
+    "Circuit n_qubits": (lambda: Circuit(2.5, ()), "n_qubits must be an integer, got 2.5"),
+    "Circuit qubit": (
+        lambda: Circuit(2, (Gate("h", (1.0,)),)), "qubit index must be an integer, got 1.0"
+    ),
+    "zero_state": (lambda: zero_state(2.0), "n_qubits must be an integer, got 2.0"),
+    "build_real_amplitudes reps": (
+        lambda: build_real_amplitudes(2, 1.5), "reps must be an integer, got 1.5"
+    ),
+    "build_real_amplitudes n_qubits": (
+        lambda: build_real_amplitudes(2.5, 1), "n_qubits must be an integer, got 2.5"
+    ),
+    "gen_linear": (lambda: gen_linear(2.5, 0), "n must be an integer, got 2.5"),
+    "gen_two_class_usage": (
+        lambda: gen_two_class_usage(2.5, 0), "per_class must be an integer, got 2.5"
+    ),
+    "initial_weights": (lambda: initial_weights(2.5, 0), "n_weights must be an integer, got 2.5"),
+}
+
+
+@pytest.mark.parametrize("call, message", SIZED_CALLS.values(), ids=SIZED_CALLS.keys())
+def test_sized_calls_reject_a_non_integer_size(call, message):
+    # A register size, qubit index, repetition or sample count that is not
+    # an integer is refused up front with the package's own error, naming
+    # the parameter, not accepted or left to fail in numpy with a TypeError.
+    with pytest.raises(EqnnError, match=message):
+        call()
+
+
+def test_sized_calls_take_numpy_integers():
+    two = np.int64(2)
+    assert Circuit(two, (Gate("h", (np.int64(1),)),)).n_qubits == 2
+    assert zero_state(two).dim == 4
+    assert len(build_real_amplitudes(two, np.int64(1)).gates) == 5
+    assert len(gen_linear(two, 0).samples) == 2
+    assert len(gen_two_class_usage(two, 0).samples) == 4
+    assert initial_weights(two, 0).shape == (2,)
 
 
 def test_minimize_checks_dimensions():

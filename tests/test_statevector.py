@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from eqnn import statevector
 from eqnn.circuit import build_real_amplitudes
 from eqnn.errors import ConfigurationError, UsageError
 from eqnn.statevector import (
@@ -293,14 +295,50 @@ def test_kernels_act_column_by_column_and_match_the_matrix_oracle(data):
         np.testing.assert_array_equal(amps, before)
 
 
+@settings(max_examples=150)
+@given(data=st.data())
+def test_tiled_kernels_equal_the_one_tile_kernels_bit_for_bit(data):
+    # With the kernel tile forced small, H and RY work through the pair
+    # halves in many tiles: at low positions a tile spans several ``pre``
+    # rows, at high ones it splits ``post``.  Every position, real or
+    # complex, C-ordered, zero-stride or transposed input, scalar or
+    # batch-shaped angle: each output equals, byte for byte, that of the
+    # kernels with one tile as large as the state.
+    n = data.draw(st.integers(1, 9), label="n")
+    batch = data.draw(st.sampled_from([(), (1,), (3,), (2, 1), (2, 3)]), label="batch")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    amps = rng.normal(size=(1 << n,) + batch)
+    if data.draw(st.booleans(), label="complex"):
+        amps = amps + 1j * rng.normal(size=amps.shape)
+    amps = _layouts(data.draw, amps)
+    theta = data.draw(st.sampled_from(["scalar", "batch", "leading"]), label="angle")
+    if theta == "scalar" or not batch:
+        theta = rng.uniform(-np.pi, np.pi)
+    elif theta == "batch":
+        theta = rng.uniform(-np.pi, np.pi, batch)
+    else:  # one angle per leading batch row, as a batched walk gives it
+        theta = rng.uniform(-np.pi, np.pi, batch[:1] + (1,) * (len(batch) - 1))
+    row = amps.itemsize * math.prod(batch)
+    tile = row << data.draw(st.integers(0, max(0, n - 2)), label="tile")
+    kernels = [lambda a, q: kernel_h(a, q), lambda a, q: kernel_ry(a, theta, q)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(statevector, "_KERNEL_TILE_BYTES", 1 << 62)
+        whole = [kernel(amps, q) for kernel in kernels for q in range(n)]
+        patch.setattr(statevector, "_KERNEL_TILE_BYTES", tile)
+        tiled = [kernel(amps, q) for kernel in kernels for q in range(n)]
+    for one, many in zip(whole, tiled):
+        assert many.dtype == one.dtype and many.tobytes() == one.tobytes()
+
+
 @settings(max_examples=100)
 @given(data=st.data())
 def test_kernels_write_into_a_given_out_exactly_as_into_a_fresh_one(data):
-    # Any n, dtype, batch shape and input layout: a kernel given ``out``
-    # (and RY its half-size ``scratch``) fills it with exactly the fresh
-    # output, returns it, and leaves the input untouched.  An ``out`` or
-    # ``scratch`` that may overlap the input, or has the wrong shape,
-    # dtype or order, is refused.
+    # Any n, dtype, batch shape, input layout and kernel tile: a kernel
+    # given ``out`` (and RY its one-tile ``scratch``) fills it with exactly
+    # the fresh output, returns it, and leaves the input untouched.  An
+    # ``out`` or ``scratch`` that may overlap the input (or, for
+    # ``scratch``, ``out``), or has the wrong shape, dtype or order, or is
+    # read-only, is refused.
     n = data.draw(st.integers(1, 5), label="n")
     batch = data.draw(st.one_of(st.just(()), st.tuples(st.integers(1, 4))), label="batch")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -311,8 +349,14 @@ def test_kernels_write_into_a_given_out_exactly_as_into_a_fresh_one(data):
     before = amps.copy()
     theta = rng.uniform(-np.pi, np.pi, batch)
     q = data.draw(st.integers(0, n - 1), label="qubit")
-    half = (1 << (n - 1),) + batch
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(statevector, "_KERNEL_TILE_BYTES", 1 << data.draw(st.integers(3, 12)))
+        _check_given_out(amps, before, theta, q, batch)
 
+
+def _check_given_out(amps, before, theta, q, batch):
+    n = len(amps).bit_length() - 1
+    tile = (statevector._tile_amplitudes(amps),) + batch
     kernels = {
         "h": (lambda a, **kw: kernel_h(a, q, **kw), amps.dtype),
         "ry": (lambda a, **kw: kernel_ry(a, theta, q, **kw), amps.dtype),
@@ -323,7 +367,7 @@ def test_kernels_write_into_a_given_out_exactly_as_into_a_fresh_one(data):
     for name, (kernel, dtype) in kernels.items():
         fresh = kernel(amps)
         out = np.full(amps.shape, np.nan, dtype)
-        extra = {"scratch": np.full(half, np.nan, dtype)} if name == "ry" else {}
+        extra = {"scratch": np.full(tile, np.nan, dtype)} if name == "ry" else {}
         assert kernel(amps, out=out, **extra) is out
         np.testing.assert_array_equal(out, fresh)
         np.testing.assert_array_equal(amps, before)
@@ -351,26 +395,46 @@ def test_kernels_write_into_a_given_out_exactly_as_into_a_fresh_one(data):
         with pytest.raises(UsageError, match="must not overlap the input"):
             kernel(source, out=overlapping, **extra)
         if name == "ry":
-            fresh_out = np.empty(amps.shape, dtype)
-            for bad in (np.empty(amps.shape, dtype), np.empty(half, np.float32)):
-                with pytest.raises(UsageError, match="scratch must"):
-                    kernel(amps, out=fresh_out, scratch=bad)
-            source = np.empty(amps.size, dtype)
-            source[:] = amps.ravel()
-            with pytest.raises(UsageError, match="scratch must .*not overlap the input"):
-                kernel(source.reshape(amps.shape), out=fresh_out,
-                       scratch=source[: amps.size // 2].reshape(half))
-            with pytest.raises(UsageError, match="scratch must not overlap out"):
-                kernel(amps, out=fresh_out,
-                       scratch=fresh_out.reshape(-1)[: amps.size // 2].reshape(half))
+            _check_given_scratch(kernel, amps, tile, dtype)
         np.testing.assert_array_equal(amps, before)
 
 
+def _check_given_scratch(kernel, amps, tile, dtype):
+    """RY refuses a scratch of another shape (a half-size one where it tiles),
+    dtype or order, a read-only one, and one that overlaps its input or ``out``."""
+    fresh_out = np.empty(amps.shape, dtype)
+    read_only = np.empty(tile, dtype)
+    read_only.flags.writeable = False
+    wrong = [
+        np.empty(amps.shape, dtype),
+        np.empty((tile[0] + 1,) + tile[1:], dtype),
+        np.empty((tile[0] - 1,) + tile[1:], dtype),
+        np.empty(tile, np.float32),
+        read_only,
+    ]
+    if tile[0] < len(amps) // 2:
+        wrong.append(np.empty((len(amps) // 2,) + tile[1:], dtype))
+    transposed = np.empty(tile[::-1], dtype).T
+    if not transposed.flags.c_contiguous:
+        wrong.append(transposed)
+    for bad in wrong:
+        with pytest.raises(UsageError, match="scratch must"):
+            kernel(amps, out=fresh_out, scratch=bad)
+    size = math.prod(tile)
+    source = np.empty(amps.size, dtype)
+    source[:] = amps.ravel()
+    with pytest.raises(UsageError, match="scratch must .*not overlap the input"):
+        kernel(source.reshape(amps.shape), out=fresh_out, scratch=source[:size].reshape(tile))
+    with pytest.raises(UsageError, match="scratch must not overlap out"):
+        kernel(amps, out=fresh_out, scratch=fresh_out.reshape(-1)[:size].reshape(tile))
+
+
 def test_kernels_given_out_allocate_nothing_of_size():
-    # With ``out`` (and RY's ``scratch``) supplied, a kernel on one
+    # With ``out`` (and RY's one-tile ``scratch``) supplied, a kernel on one
     # 2**16-amplitude float64 state allocates no array of its size.
     amps = np.random.default_rng(21).normal(size=1 << 16)
-    out, scratch = np.empty_like(amps), np.empty(len(amps) // 2)
+    out = np.empty_like(amps)
+    scratch = np.empty(statevector._KERNEL_TILE_BYTES // amps.itemsize)
     for kernel in (
         lambda: kernel_cnot(amps, 3, 9, out=out),
         lambda: kernel_h(amps, 15, out=out),
@@ -390,14 +454,14 @@ def test_kernels_given_out_allocate_nothing_of_size():
     [
         (lambda a: kernel_cnot(a, 3, 9), 1.05),
         (lambda a: kernel_h(a, 15), 1.05),
-        (lambda a: kernel_ry(a, 0.3, 0), 1.6),
+        (lambda a: kernel_ry(a, 0.3, 0), 1.3),
     ],
     ids=["cnot", "h", "ry"],
 )
 def test_kernels_allocate_no_index_and_no_whole_size_temporary(kernel, bound):
     # One 2**16-amplitude float64 state.  Past the output, CNOT and H may
-    # allocate nothing of size (no gather index), and RY one half-size
-    # temporary for its second product.
+    # allocate nothing of size (no gather index), and RY one 128 KB tile,
+    # a quarter of the output, for its second product (1.26 measured).
     amps = np.random.default_rng(20).normal(size=1 << 16)
     tracemalloc.start()
     try:
