@@ -72,7 +72,7 @@ class NonFiniteLossError(EqnnError):
 
 def _checked_integer(value, name: str, error: type[EqnnError] = UsageError):
     """``value``, refused with ``error`` naming ``name`` unless an integer of any type."""
-    if not isinstance(value, numbers.Integral):
+    if type(value) is not int and not isinstance(value, numbers.Integral):  # int first: fast
         raise error(f"{name} must be an integer, got {value}")
     return value
 

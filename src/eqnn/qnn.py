@@ -42,14 +42,17 @@ workspace.  A batch row is identical to one-at-a-time simulation, every
 fitted value to the public prediction, and a wide register needs no
 ``2**n x 2**n`` matrix.
 
-A walk of a wide register keeps its amplitudes in a rotated bit order:
-logical qubit ``q`` at bit position ``(q + r) % n`` for one offset ``r``,
-and the kernels are given positions.  numpy runs a gate at position
-``p`` over ``2**p`` times the batch size elements at a time, slowly below
-2^12 (``_FAST_RUN``).  So a one-qubit gate on a low position first
-rotates the register to put the coming gates on high ones, and the walk
-rotates back before it returns.  At 2^20 float64 a 20-qubit RY layer
-falls from 63 to 36 ms, bit for bit the same (see ``_walk``).
+A walk hands each run of consecutive CNOTs, such as a ``RealAmplitudes``
+chain, to one ``kernel_cnot`` call: one gather of the whole run, at about
+the same speed at any bit positions.  A walk of a wide register keeps
+its amplitudes in a rotated bit order: logical qubit ``q`` at bit
+position ``(q + r) % n`` for one offset ``r``, and the kernels are given
+positions.  numpy runs a one-qubit gate at position ``p`` over ``2**p``
+times the batch size elements at a time, slowly below 2^12
+(``_FAST_RUN``).  So a one-qubit gate on a low position first rotates
+the register to put the coming one-qubit gates on high ones, and the
+walk rotates back before it returns.  At 2^20 float64 a 20-qubit RY
+layer falls from 63 to 36 ms, bit for bit the same (see ``_walk``).
 
 One loss core, ``_loss_and_slope``, holds each loss and its slope for
 ``batch_loss`` and the shift-rule gradient alike; every class decision
@@ -250,13 +253,14 @@ def _rotation(gates, n: int, low: int) -> int:
     """The rotation that lands the longest run of ``gates``, from the first, on fast positions.
 
     A candidate puts the first gate's qubit on a fast position; its run
-    ends at the first gate, CNOTs included, with a qubit below ``low``.
+    ends at the first one-qubit gate with a qubit below ``low``.  A CNOT,
+    a gather at about the same speed at every position, never ends it.
     Of equal runs the rotation 0 wins, which spares the rotation back.
     """
 
     def run(r: int) -> tuple[int, bool]:
         for k, g in enumerate(gates):
-            if any((q + r) % n < low for q in g.qubits):
+            if len(g.qubits) == 1 and (g.qubits[0] + r) % n < low:
                 return k, r == 0
         return len(gates), r == 0
 
@@ -284,28 +288,39 @@ def _walk(gates, amps: np.ndarray, work: _Workspace) -> np.ndarray:
     """Apply bound gates in order to ``amps``, of the walk's one dtype (see ``_walk_dtype``).
 
     Gates bound to a batch of rows turn ``amps[:, b]``, shape ``(2**n, ...)``,
-    by row ``b``'s angles.  Every gate and rotation writes the walk buffer
-    of ``work`` that does not hold its input, so the result is a view into
-    one of the two.
+    by row ``b``'s angles.  Each run of consecutive CNOTs is one
+    ``kernel_cnot`` call, a single gather.  Every gate, CNOT run and
+    rotation writes the walk buffer of ``work`` that does not hold its
+    input, so the result is a view into one of the two.
 
     The walk keeps one bit rotation ``r``: logical qubit ``q`` sits at bit
-    position ``(q + r) % n``, and each kernel gets the positions.  A gate
-    at position ``p`` runs over ``2**p`` times the batch size elements at a
-    time, and numpy is slow on short runs.  So a one-qubit gate whose run
-    is shorter than ``_FAST_RUN`` first rotates the register (``_rotate``)
-    to the ``r`` that lands the longest run of the gates from it on fast
-    positions (``_rotation``), and the walk ends rotated back to ``r = 0``.
-    A rotation only moves amplitudes, so every amplitude gets the same
-    arithmetic in the same gate order, and the result is bit for bit that
-    of the walk without rotations.  Walks of at most two qubits, such as
-    every walk of the named models, never rotate (``_slow_positions``).
+    position ``(q + r) % n``, and each kernel gets the positions.  A
+    one-qubit gate at position ``p`` runs over ``2**p`` times the batch
+    size elements at a time, and numpy is slow on short runs.  So a
+    one-qubit gate whose run is shorter than ``_FAST_RUN`` first rotates
+    the register (``_rotate``) to the ``r`` that lands the longest run of
+    the gates from it on fast positions (``_rotation``), and the walk ends
+    rotated back to ``r = 0``.  A CNOT run takes any positions.  A rotation
+    only moves amplitudes, so every amplitude gets the same arithmetic in
+    the same gate order, and the result is bit for bit that of the walk
+    without rotations.  Walks of at most two qubits, such as every walk of
+    the named models, never rotate (``_slow_positions``).
     """
     *buffers, scratch = work.views(amps)
     n = amps.shape[0].bit_length() - 1
     low, r = _slow_positions(amps), 0
+    run = []  # the (control, target) positions of the CNOTs since the last other gate
     # buffers[amps is buffers[0]] is the walk buffer that does not hold amps.
     for k, g in enumerate(gates):
-        if low and len(g.qubits) == 1 and (g.qubits[0] + r) % n < low:
+        if g.name == "cnot":
+            run.append(tuple((q + r) % n for q in g.qubits) if r else g.qubits)
+            if k + 1 < len(gates) and gates[k + 1].name == "cnot":
+                continue  # the run goes on
+            qubits = tuple(zip(*run)) if len(run) > 1 else run[0]  # (controls, targets)
+            amps = _apply(amps, "cnot", qubits, None, buffers[amps is buffers[0]])
+            run = []
+            continue
+        if low and (g.qubits[0] + r) % n < low:
             rotation = _rotation(gates[k:], n, low)
             amps = _rotate(amps, (rotation - r) % n, buffers[amps is buffers[0]])
             r = rotation

@@ -12,13 +12,16 @@ Two layers over one dispatch:
   an angle shaped like the batch (or a scalar), so a batch of states is
   transformed in one vectorized call.  Each writes a C-ordered output,
   fresh or the caller's ``out``, so the two halves of every qubit's pair
-  are whole slabs; CNOT copies and flips halves, with no index array.
-  H and RY work through the halves one cache-sized tile at a time
-  (``_KERNEL_TILE_BYTES``), each tile with the same ufuncs in the same
-  order, so tiling changes no bit of any amplitude; ``kernel_ry`` also
-  takes a one-tile ``scratch`` for its second product.  H, RY and CNOT
-  keep a real input real; ``kernel_phase`` promotes its output to
-  complex.  These are the hot path for training.
+  are whole slabs.  H and RY work through the halves one cache-sized
+  tile at a time (``_KERNEL_TILE_BYTES``), each tile with the same
+  ufuncs in the same order, so tiling changes no bit of any amplitude;
+  ``kernel_ry`` also takes a one-tile ``scratch`` for its second
+  product.  ``kernel_cnot`` takes one CNOT or a run of them and moves
+  whole chunks of amplitudes in one gather, through two source tables of
+  at most 2^12 entries each (``_gather_tables``), at about the same
+  speed at every bit position.  H, RY and CNOT keep a real input real;
+  ``kernel_phase`` promotes its output to complex.  These are the hot
+  path for training.
 * ``StateVector`` plus ``zero_state`` / ``apply_single`` / ``apply_cnot``
   / ``probabilities`` wrap the kernels in a validated value type for
   single-state work.
@@ -36,6 +39,7 @@ not overlap the input; nothing mutates its input.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -75,6 +79,7 @@ def _qubit_count(dim: int) -> int:
 def _split(amps: np.ndarray, qubit: int) -> np.ndarray:
     """View ``(2**n, *batch)`` as ``(pre, 2, post, *batch)``, ``qubit`` in the middle."""
     n = _qubit_count(amps.shape[0])
+    _checked_integer(qubit, "qubit")
     if not 0 <= qubit < n:
         raise UsageError(f"qubit {qubit} out of range for {n}-qubit state")
     pre, post = 1 << (n - 1 - qubit), 1 << qubit
@@ -183,25 +188,78 @@ def kernel_ry(amps: np.ndarray, theta, qubit: int, out=None, scratch=None) -> np
     return result
 
 
+# A run of CNOTs gathers chunks of amplitudes through two source tables of
+# at most 2**_TABLE_BITS entries each (see ``_gather_tables``); at most
+# ``_TABLES_CACHED`` runs keep theirs.
+_TABLE_BITS = 12
+_TABLES_CACHED = 64
+
+
+@functools.lru_cache(maxsize=_TABLES_CACHED)
+def _gather_tables(pairs: tuple[tuple[int, int], ...]) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """``(low, high, hi, lo)`` for the CNOT ``(control, target)`` ``pairs``, applied in order.
+
+    ``low`` and ``high`` are the lowest and highest bit positions of the
+    run, and no other position moves.  On the ``span`` = ``high - low + 1``
+    bits between them, the run moves chunk ``j`` of the output from chunk
+    ``hi[j >> k] ^ lo[j & (2**k - 1)]`` of the input, ``k`` =
+    ``min(span, _TABLE_BITS)``.  Each CNOT maps a basis index linearly over
+    GF(2), so the source of ``j`` is the XOR of the sources of its upper and
+    lower bits; each table is that source map, the run's CNOTs applied last
+    to first, on the indices of one part.
+    """
+    low, high = min(min(pair) for pair in pairs), max(max(pair) for pair in pairs)
+    span = high - low + 1
+    k = min(span, _TABLE_BITS)
+    tables = (np.arange(1 << (span - k)) << k, np.arange(1 << k))
+    for index in tables:
+        for control, target in reversed(pairs):
+            index ^= ((index >> (control - low)) & 1) << (target - low)
+        index.flags.writeable = False
+    return (low, high) + tables
+
+
 def kernel_cnot(amps: np.ndarray, control: int, target: int, out=None) -> np.ndarray:
     """CNOT: flip ``target`` on the amplitudes whose ``control`` bit is 1.
 
-    On the ``(2,)*n + batch`` view (qubit ``q`` on axis ``n - 1 - q``) it copies
-    the control=0 half and flips the control=1 half along the target axis.
+    ``control`` and ``target`` may also be tuples or lists of equal length,
+    a run of CNOTs applied in order.  Bit positions below the run's lowest
+    and above its highest do not move, so the run is one gather of whole
+    chunks of ``2**low`` amplitudes through two small source tables
+    (``_gather_tables``), at about the same speed at every position.
     """
     n = _qubit_count(amps.shape[0])
-    for name, q in (("control", control), ("target", target)):
-        if not 0 <= q < n:
-            raise UsageError(f"{name} qubit {q} out of range for {n}-qubit state")
-    if control == target:
-        raise UsageError(f"cnot control and target must differ (both {control})")
-    a = amps.reshape((2,) * n + amps.shape[1:])
+    if isinstance(control, (tuple, list)):
+        if not (isinstance(target, (tuple, list)) and 0 < len(control) == len(target)):
+            raise UsageError(
+                f"a cnot run needs one target per control, got {control} and {target}"
+            )
+        pairs = tuple(zip(control, target))
+    else:
+        pairs = ((control, target),)
+    for c, t in pairs:
+        _checked_integer(c, "control qubit")
+        _checked_integer(t, "target qubit")
+        if not 0 <= c < n:
+            raise UsageError(f"control qubit {c} out of range for {n}-qubit state")
+        if not 0 <= t < n:
+            raise UsageError(f"target qubit {t} out of range for {n}-qubit state")
+        if c == t:
+            raise UsageError(f"cnot control and target must differ (both {c})")
+    low, high, hi, lo = _gather_tables(pairs)
     result = _target(amps, out, amps.shape, amps.dtype, "out")
-    o = result.reshape(a.shape)
-    c, t = n - 1 - control, n - 1 - target
-    lead = (slice(None),) * c
-    o[lead + (0,)] = a[lead + (0,)]
-    o[lead + (1,)] = np.flip(a[lead + (1,)], t - (t > c))
+    # (pre, 2**span chunks, 2**low amplitudes and their batch per chunk).
+    # mode="raise" would gather into a buffered copy of ``out``, one more
+    # pass; every table entry is in range.
+    shape = (1 << (n - 1 - high), 1 << (high - low + 1), (amps.size >> n) << low)
+    a, o = amps.reshape(shape), result.reshape(shape)
+    if len(hi) == 1:
+        a.take(lo, axis=1, out=o, mode="clip")
+        return result
+    for h, base in enumerate(hi):  # a C-ordered ``out`` for each row of ``pre``
+        index, rows = lo ^ base, slice(h * len(lo), (h + 1) * len(lo))
+        for a_row, o_row in zip(a, o):
+            a_row.take(index, axis=0, out=o_row[rows], mode="clip")
     return result
 
 
@@ -209,7 +267,9 @@ def _apply(amps: np.ndarray, name: str, qubits: tuple[int, ...], angle=None,
            out=None, scratch=None) -> np.ndarray:
     """Apply the gate called ``name`` to ``qubits`` of ``amps``, into ``out`` if given.
 
-    ``scratch`` is RY's one-tile second product; the other gates ignore it.
+    A ``cnot``'s ``qubits`` may be ``(controls, targets)``, a run of CNOTs
+    (see ``kernel_cnot``).  ``scratch`` is RY's one-tile second product;
+    the other gates ignore it.
     """
     if name == "h":
         return kernel_h(amps, qubits[0], out)

@@ -46,6 +46,23 @@ def cnot_matrix(n_qubits: int, control: int, target: int) -> np.ndarray:
     return op
 
 
+def cnot_by_halves(amps: np.ndarray, control: int, target: int) -> np.ndarray:
+    """CNOT on ``(2**n, *batch)`` amplitudes by copying and flipping halves.
+
+    On the ``(2,)*n + batch`` view (qubit q on axis n-1-q) the control=0
+    half is copied and the control=1 half flipped along the target axis:
+    the package's own CNOT before it gathered runs of them.
+    """
+    n = amps.shape[0].bit_length() - 1
+    a = amps.reshape((2,) * n + amps.shape[1:])
+    out = np.empty(a.shape, amps.dtype)
+    c, t = n - 1 - control, n - 1 - target
+    lead = (slice(None),) * c
+    out[lead + (0,)] = a[lead + (0,)]
+    out[lead + (1,)] = np.flip(a[lead + (1,)], t - (t > c))
+    return out.reshape(amps.shape)
+
+
 def circuit_state(n_qubits: int, gates) -> np.ndarray:
     """|0...0> through ``(name, qubits, theta)`` gates by dense matrix products."""
     state = np.zeros(1 << n_qubits, dtype=complex)

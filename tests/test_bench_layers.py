@@ -1,9 +1,11 @@
-"""Every package name the benchmark uses exists.
+"""Every package name the benchmark uses exists, and its kernel layers fire.
 
 The benchmark wraps public functions by name, so a renamed one leaves its
 layer ``MISSING`` in a traced run; and its workloads call package names
 directly, so a renamed one crashes a workload.  This reads the benchmark's
-modules, read-only, so that such a rename fails here first.
+modules, read-only, so that such a rename fails here first.  A walk that
+stopped calling ``statevector.kernel_cnot`` by that name would leave the
+layer ``MISSING`` too, so the calls that reach it are counted here.
 """
 
 import importlib
@@ -13,7 +15,13 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import eqnn.cli  # noqa: F401  (imports every layer module)
+from eqnn import statevector
+from eqnn.circuit import build_real_amplitudes
+from eqnn.data import gen_two_class_usage
+from eqnn.qnn import CROSS_ENTROPY, batch_loss, build_model, probabilities_batch, simulate
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -53,3 +61,45 @@ def test_every_package_name_the_benchmark_uses_directly_resolves():
         if not hasattr(importlib.import_module(f"eqnn.{module}"), name)
     ]
     assert missing == []
+
+
+def count_cnot_calls(monkeypatch) -> list:
+    """Record every call that reaches ``statevector.kernel_cnot`` by its module name.
+
+    The benchmark's tracer patches that name, as this does, so these are
+    the calls its ``statevector.kernel_cnot`` layer counts.
+    """
+    calls = []
+    original = statevector.kernel_cnot
+
+    def spy(amps, control, target, out=None):
+        calls.append((control, target))
+        return original(amps, control, target, out)
+
+    monkeypatch.setattr(statevector, "kernel_cnot", spy)
+    return calls
+
+
+def test_a_wide_walk_reaches_kernel_cnot_once_per_cnot_run(monkeypatch):
+    # RealAmplitudes(16, 3) has three chains of 15 CNOTs between its RY
+    # layers: each chain is one call, so the layer never reads MISSING.
+    calls = count_cnot_calls(monkeypatch)
+    circuit = build_real_amplitudes(16, 3)
+    simulate(circuit, (), np.linspace(-1.0, 1.0, circuit.weight_arity))
+    assert len(calls) == 3
+    assert all(len(control) == len(target) == 15 for control, target in calls)
+
+
+def test_the_benchmark_model_reaches_kernel_cnot_once_per_cnot(monkeypatch):
+    # No two CNOTs of the benchmark model are adjacent, so each is its own
+    # call, in a prediction and in a training loss (which encodes through
+    # the feature map and then walks the variational circuit) alike.
+    calls = count_cnot_calls(monkeypatch)
+    model = build_model("benchmark")
+    w = np.linspace(-1.0, 1.0, model.n_weights)
+    cnots = [g for g in model.circuit.gates if g.name == "cnot"]
+    probabilities_batch(model, np.zeros((3, model.n_inputs)), w)
+    assert len(calls) == len(cnots) == 5
+    calls.clear()
+    batch_loss(model, w, gen_two_class_usage(per_class=2, seed=1), CROSS_ENTROPY)
+    assert len(calls) == len(cnots)

@@ -430,8 +430,10 @@ def test_prediction_encodes_and_walks_in_one_workspace(monkeypatch):
 @pytest.mark.parametrize("call", ["simulate", "predict_probs"])
 def test_wide_call_writes_every_kernel_and_rotation_into_its_own_workspace(monkeypatch, call):
     # A 1-D 14-qubit simulate, or a prediction from an H layer, rotates
-    # the register many times; every rotation, like every gate, writes one
-    # of the two walk buffers of the call's one workspace.
+    # the register many times.  There is one output per one-qubit gate,
+    # one per CNOT run (RealAmplitudes(14, 3) has three chains) and one
+    # per rotation, and each is one of the two walk buffers of the call's
+    # one workspace.
     outputs, walk_buffers = [], []
     for name in ("_apply", "_rotate"):
 
@@ -448,16 +450,19 @@ def test_wide_call_writes_every_kernel_and_rotation_into_its_own_workspace(monke
         return shaped
 
     monkeypatch.setattr(qnn._Workspace, "views", record)
-    n = 14
-    ansatz = build_real_amplitudes(n, 3)
+    n, reps = 14, 3
+    ansatz = build_real_amplitudes(n, reps)
     w = np.linspace(-1.0, 1.0, ansatz.weight_arity)
+    singles = sum(len(g.qubits) == 1 for g in ansatz.gates)
     if call == "simulate":
         qnn.simulate(ansatz, (), w)
     else:
         h_layer = Circuit(n, tuple(Gate("h", (q,)) for q in range(n)))
         qnn.predict_probs(QnnModel("wide", h_layer, ansatz, PARITY), np.zeros((1, 0)), w)
-    assert "_rotate" in {name for name, _ in outputs}
-    assert len(outputs) > len(ansatz.gates)
+        singles += n
+    rotations = sum(name == "_rotate" for name, _ in outputs)
+    assert rotations > 0
+    assert len(outputs) == singles + reps + rotations
     buffers = {id(b) for b in walk_buffers[0]}
     assert all({id(b) for b in pair} == buffers for pair in walk_buffers)
     assert {id(_owner(out)) for _, out in outputs} == buffers

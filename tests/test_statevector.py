@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -328,6 +329,122 @@ def test_tiled_kernels_equal_the_one_tile_kernels_bit_for_bit(data):
         tiled = [kernel(amps, q) for kernel in kernels for q in range(n)]
     for one, many in zip(whole, tiled):
         assert many.dtype == one.dtype and many.tobytes() == one.tobytes()
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_a_cnot_run_equals_its_cnots_one_at_a_time_bit_for_bit(data):
+    # A run of CNOTs given to ``kernel_cnot`` as two sequences is one gather
+    # through source tables; it equals, byte for byte, the same CNOTs
+    # applied one at a time by copying and flipping halves.  Runs of any
+    # pairs on 2-12 qubits (control above or below target, a pair repeated)
+    # and full chains on 14 or 16, whose span of more than 2^12 chunks
+    # splits into two tables; real or complex; scalar, batch or empty-batch
+    # shape; C-ordered, zero-stride or transposed input.  An out-of-range
+    # qubit, or a control equal to its target, in any pair is refused.
+    if data.draw(st.booleans(), label="full chain"):
+        n = data.draw(st.sampled_from([14, 16]), label="n")
+        pairs = [(q, q + 1) for q in range(n - 1)]
+        if data.draw(st.booleans(), label="downwards"):
+            pairs = [(t, c) for c, t in reversed(pairs)]
+    else:
+        n = data.draw(st.integers(2, 12), label="n")
+        pair = st.permutations(range(n)).map(lambda p: tuple(p[:2]))
+        pairs = data.draw(st.lists(pair, min_size=1, max_size=8), label="pairs")
+        if data.draw(st.booleans(), label="repeat"):
+            pairs.append(pairs[data.draw(st.integers(0, len(pairs) - 1), label="repeated")])
+    batch = data.draw(st.sampled_from([(), (3,), (2, 3), (0,), (2, 0)]), label="batch")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    amps = rng.normal(size=(1 << n,) + batch)
+    if data.draw(st.booleans(), label="complex"):
+        amps = amps + 1j * rng.normal(size=amps.shape)
+    if amps.size:  # an empty batch has no column to broadcast
+        amps = _layouts(data.draw, amps)
+    before = amps.copy()
+    seq = data.draw(st.sampled_from([tuple, list]), label="sequence")
+
+    want = amps
+    for c, t in pairs:
+        want = oracles.cnot_by_halves(want, c, t)
+    got = kernel_cnot(amps, *(seq(qubits) for qubits in zip(*pairs)))
+    assert got.dtype == amps.dtype and got.shape == amps.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(amps, before)
+
+    i = data.draw(st.integers(0, len(pairs) - 1), label="refused pair")
+    c, t = pairs[i]
+    for bad, message in (
+        ((n, t), f"control qubit {n} out of range for {n}-qubit state"),
+        ((c, -1), f"target qubit -1 out of range for {n}-qubit state"),
+        ((t, t), f"cnot control and target must differ (both {t})"),
+    ):
+        refused = pairs[:i] + [bad] + pairs[i + 1 :]
+        with pytest.raises(UsageError, match=re.escape(message)):
+            kernel_cnot(amps, *(seq(qubits) for qubits in zip(*refused)))
+
+
+def test_a_cnot_run_needs_one_target_per_control():
+    amps = zero_state(3).amps
+    for controls, targets in (((0, 1), (1,)), ([0], [1, 2]), ((), ()), ((0, 1), 2)):
+        with pytest.raises(UsageError, match="a cnot run needs one target per control"):
+            kernel_cnot(amps, controls, targets)
+    with pytest.raises(UsageError, match=re.escape("target qubit must be an integer, got (1, 2)")):
+        kernel_cnot(amps, 0, (1, 2))
+
+
+TWO_QUBITS = np.array([0.6, 0.0, 0.8, 0.0])
+NON_INTEGER_QUBITS = {
+    "kernel_h": (lambda: kernel_h(TWO_QUBITS, 1.5), "qubit must be an integer, got 1.5"),
+    "kernel_ry": (lambda: kernel_ry(TWO_QUBITS, 0.3, 1.0), "qubit must be an integer, got 1.0"),
+    "kernel_phase": (
+        lambda: kernel_phase(TWO_QUBITS, 0.3, np.float64(0.0)), "qubit must be an integer, got 0.0"
+    ),
+    "kernel_cnot control": (
+        lambda: kernel_cnot(TWO_QUBITS, 0.0, 1), "control qubit must be an integer, got 0.0"
+    ),
+    "kernel_cnot target": (
+        lambda: kernel_cnot(TWO_QUBITS, 0, 1.0), "target qubit must be an integer, got 1.0"
+    ),
+    "kernel_cnot run": (
+        lambda: kernel_cnot(TWO_QUBITS, (0, 1.0), (1, 0)),
+        "control qubit must be an integer, got 1.0",
+    ),
+    "apply_single": (
+        lambda: apply_single(as_state(TWO_QUBITS), RY(0.3), 0.5),
+        "qubit must be an integer, got 0.5",
+    ),
+    "apply_cnot": (
+        lambda: apply_cnot(as_state(TWO_QUBITS), 0.0, 1),
+        "control qubit must be an integer, got 0.0",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call, message", NON_INTEGER_QUBITS.values(), ids=NON_INTEGER_QUBITS.keys()
+)
+def test_kernels_refuse_a_non_integer_qubit(call, message):
+    # Refused with the package's own error naming the position, not left
+    # to fail in numpy's shift or reshape with a bare TypeError.
+    with pytest.raises(UsageError, match=re.escape(message)):
+        call()
+
+
+def test_kernels_take_numpy_integer_qubits():
+    one, zero = np.int64(1), np.int64(0)
+    for kernel in (
+        lambda q, p: kernel_h(TWO_QUBITS, q),
+        lambda q, p: kernel_ry(TWO_QUBITS, 0.3, q),
+        lambda q, p: kernel_phase(TWO_QUBITS, 0.3, q),
+        lambda q, p: kernel_cnot(TWO_QUBITS, q, p),
+        lambda q, p: kernel_cnot(TWO_QUBITS, [q, p], (p, q)),
+    ):
+        assert kernel(one, zero).tobytes() == kernel(1, 0).tobytes()
+    state = as_state(TWO_QUBITS)
+    np.testing.assert_array_equal(
+        apply_single(state, Hadamard(), one).amps, apply_single(state, Hadamard(), 1).amps
+    )
+    np.testing.assert_array_equal(apply_cnot(state, one, zero).amps, apply_cnot(state, 1, 0).amps)
 
 
 @settings(max_examples=100)
