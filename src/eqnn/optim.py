@@ -25,15 +25,19 @@ targets and the head's readout.
 It hands that problem to ``qnn.batch_loss`` and
 ``parameter_shift_gradient`` through their private keyword ``_problem``;
 without it each builds one for that call alone.  A gradient's 2m+1
-evaluations run as one batched walk (``qnn``).
+evaluations run as one batched walk (``qnn``), whose base row ``w`` also
+gives the loss at ``w`` (``Objective.value_and_grad``).
 
 Every run returns a ``TrainTrace``: one incumbent loss per iteration
 (COBYLA: best-so-far at each trust-region step; SPSA/AQGD: loss at the
-updated weights), the final weights, and an honest evaluation count —
-for AQGD each gradient costs 2m+1 objective-equivalent circuit passes.
+updated weights), the final weights, and the number of evaluations, each
+one weight row walked over the dataset.  An AQGD step takes the loss at
+``w_{k+1}`` from the base row of the gradient at ``w_{k+1}``, so a run
+of K steps costs (2m+1)·K evaluations for its K gradients plus one plain
+loss at the last iterate.
 
 A non-finite objective value aborts the run immediately with the
-offending weights attached to the exception.
+offending weights attached to the exception (``_checked_loss``).
 """
 
 from __future__ import annotations
@@ -77,11 +81,15 @@ RHO_END = 1e-4
 
 @dataclass(frozen=True)
 class Objective:
-    """A deterministic scalar function of an m-vector, optionally with gradient."""
+    """A deterministic scalar function of an m-vector, optionally with gradient.
+
+    ``value_and_grad(w)`` returns ``(fun(w), gradient at w)`` from one
+    evaluation, as the parameter-shift gradient's base row gives both.
+    """
 
     fun: Callable[[np.ndarray], float]
     dim: int
-    grad: Callable[[np.ndarray], np.ndarray] | None = None
+    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]] | None = None
 
 
 @dataclass(frozen=True)
@@ -117,6 +125,14 @@ class TrainTrace:
         return float(self.losses[-1])
 
 
+def _checked_loss(value, w: np.ndarray) -> float:
+    """``value`` as a float; a non-finite one raises, naming the weights ``w`` it is the loss of."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise NonFiniteLossError(value, np.asarray(w, dtype=float).copy())
+    return value
+
+
 class _Counted:
     """Wrap an objective: count calls, track the best value, refuse non-finite ones."""
 
@@ -126,10 +142,8 @@ class _Counted:
         self.best = math.inf
 
     def __call__(self, w: np.ndarray) -> float:
-        value = float(self._fun(w))
         self.calls += 1
-        if not math.isfinite(value):
-            raise NonFiniteLossError(value, np.asarray(w, dtype=float).copy())
+        value = _checked_loss(self._fun(w), w)
         self.best = min(self.best, value)
         return value
 
@@ -214,14 +228,26 @@ def _minimize_spsa(fun: _Counted, w0: np.ndarray, config: OptimizerConfig) -> Tr
 def _minimize_aqgd(
     objective: Objective, fun: _Counted, w0: np.ndarray, config: OptimizerConfig
 ) -> TrainTrace:
-    if objective.grad is None:
+    """Gradient descent from ``w0``, recording the loss at each new iterate.
+
+    Each gradient comes with the loss at its own weights, so the loss at
+    ``w_{k+1}`` is that of the gradient taken there.  Only the last
+    iterate, whose gradient is never needed, takes one plain evaluation.
+    The loss at ``w0`` is neither recorded nor checked.
+    """
+    if objective.value_and_grad is None:
         raise UsageError("aqgd needs an objective with an analytic gradient")
     w = w0.copy()
+    _, gradient = objective.value_and_grad(w)
     losses = []
-    for _ in range(config.max_iters):
-        w = w - LEARNING_RATE * np.asarray(objective.grad(w), dtype=float)
-        losses.append(fun(w))
-    # Each analytic gradient costs one base pass plus two shifted passes per weight.
+    for k in range(config.max_iters):
+        w = w - LEARNING_RATE * np.asarray(gradient, dtype=float)
+        if k + 1 == config.max_iters:
+            losses.append(fun(w))
+        else:
+            loss, gradient = objective.value_and_grad(w)
+            losses.append(_checked_loss(loss, w))
+    # Each analytic gradient walks one base row plus two shifted rows per weight.
     evaluations = fun.calls + (2 * objective.dim + 1) * config.max_iters
     return TrainTrace(np.array(losses), w, evaluations)
 
@@ -256,8 +282,8 @@ def _check_shift_precondition(model: qnn.QnnModel) -> None:
 
 
 def parameter_shift_gradient(
-    model: qnn.QnnModel, w, dataset, kind: str, *, _problem=None
-) -> np.ndarray:
+    model: qnn.QnnModel, w, dataset, kind: str, *, _problem=None, _with_loss=False
+):
     """Exact dL/dw via two +-pi/2-shifted evaluations per weight.
 
     The derivative of each fitted value, (f(w_j + pi/2) - f(w_j - pi/2)) / 2,
@@ -265,6 +291,8 @@ def parameter_shift_gradient(
     The stack ``w``, ``w + pi/2 e_j``, ``w - pi/2 e_j`` is one walk.
     ``_problem`` is the caller's ``qnn._Problem`` for these arguments;
     without it one is built for this call, after the model and ``w`` pass.
+    With ``_with_loss``, returns ``(loss at w, gradient)``: the base row's
+    loss, bit for bit ``qnn.batch_loss`` at ``w``.
     """
     _check_shift_precondition(model)
     w = qnn._weight_row(w)
@@ -272,12 +300,13 @@ def parameter_shift_gradient(
         _problem = qnn._Problem(model, dataset, kind)
     shifts = math.pi / 2.0 * np.eye(len(w))
     fitted = _problem.fitted(np.vstack([w, w + shifts, w - shifts]))
-    _, slope = qnn._loss_and_slope(fitted[0], _problem.targets, kind)
+    losses, slope = qnn._loss_and_slope(fitted[0], _problem.targets, kind)
     plus, minus = fitted[1 : len(w) + 1], fitted[len(w) + 1 :]
     terms = np.subtract(plus, minus, out=plus)  # (f+ - f-) / 2 * slope, over the f+ rows
     terms /= 2.0
     terms *= slope
-    return np.mean(terms, axis=1)
+    gradient = np.mean(terms, axis=1)
+    return (float(np.mean(losses)), gradient) if _with_loss else gradient
 
 
 def make_objective(model: qnn.QnnModel, dataset, kind: str) -> Objective:
@@ -285,10 +314,13 @@ def make_objective(model: qnn.QnnModel, dataset, kind: str) -> Objective:
 
     Every evaluation walks from that problem and writes into its one
     workspace, which its first gradient grows to fit the 2m+1 weight rows.
+    ``value_and_grad`` is one such gradient, with the loss of its base row.
     """
     problem = qnn._Problem(model, dataset, kind)
     return Objective(
         fun=lambda w: qnn.batch_loss(model, w, dataset, kind, _problem=problem),
         dim=model.n_weights,
-        grad=lambda w: parameter_shift_gradient(model, w, dataset, kind, _problem=problem),
+        value_and_grad=lambda w: parameter_shift_gradient(
+            model, w, dataset, kind, _problem=problem, _with_loss=True
+        ),
     )

@@ -33,9 +33,10 @@ rows, one per loss and the 2m+1 rows ``w``, ``w +- pi/2 e_j`` per
 gradient, walking ``(2**n, B, rows)``; one pass squares each block into
 the spare walk buffer, amplitude-last, for the head's readout.  No walk
 allocates a block-sized array per gate: the gates write in turn into the
-two walk buffers of a ``_Workspace`` (two blocks and one tile: two
-buffers and RY's one-tile scratch, see ``statevector``), which grows to
-the largest walk it is given.  Each ``simulate`` or prediction call owns
+two walk buffers of a ``_Workspace`` (two blocks, one tile and two
+planes: two buffers, and RY's scratch of one tile and its cos and sin
+planes for per-row angles, see ``statevector.kernel_ry``), which grows
+to the largest walk it is given.  Each ``simulate`` or prediction call owns
 one workspace; a training problem is validated, encoded and given its
 readout and its workspace once.  No returned array is a view into a
 workspace.  A batch row is identical to one-at-a-time simulation, every
@@ -195,25 +196,27 @@ class _Workspace:
     """Flat bytes that walks write into, grown to the largest walk given so far.
 
     Two walk buffers of one block each, which the gates write in turn,
-    and one kernel tile of scratch for RY's second product (at most half
-    a block, see ``statevector._tile_amplitudes``): two blocks and one
-    tile, as three arrays, so a walk's result keeps only its own buffer
-    alive.
+    and RY's scratch: one kernel tile for its second product (at most
+    half a block, see ``statevector._tile_amplitudes``) and two planes
+    of one amplitude's batch for its per-row cos and sin (see
+    ``statevector.kernel_ry``).  That is two blocks, one tile and two
+    planes, as three arrays, so a walk's result keeps only its own
+    buffer alive.
     """
 
     def __init__(self):
         self._bytes = (np.empty(0, np.uint8),) * 3
 
     def views(self, amps: np.ndarray) -> list[np.ndarray]:
-        """The two walk buffers shaped like ``amps``, then RY's scratch of one tile."""
+        """The two walk buffers shaped like ``amps``, then RY's scratch, ``(k + 2, *batch)``."""
         k = _tile_amplitudes(amps)
-        tile = k * amps.nbytes // amps.shape[0]
+        tile = (k + 2) * amps.nbytes // amps.shape[0]
         first, scratch = self._bytes[0].size, self._bytes[2].size
         if first < amps.nbytes or scratch < tile:
             sizes = (max(first, amps.nbytes),) * 2 + (max(scratch, tile),)
             self._bytes = ()  # release the smaller arrays before allocating
             self._bytes = tuple(np.empty(size, np.uint8) for size in sizes)
-        shapes = (amps.shape, amps.shape, (k,) + amps.shape[1:])
+        shapes = (amps.shape, amps.shape, (k + 2,) + amps.shape[1:])
         return [_as(b, s, amps.dtype) for b, s in zip(self._bytes, shapes)]
 
     def spare(self, amps: np.ndarray) -> np.ndarray:

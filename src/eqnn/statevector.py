@@ -9,19 +9,21 @@ Two layers over one dispatch:
 
 * ``kernel_*`` functions operate on raw real or complex arrays of shape
   ``(2**n, *batch)``: the amplitude axis first, batch axes trailing, and
-  an angle shaped like the batch (or a scalar), so a batch of states is
+  an angle shaped like the batch, broadcasting to it (such as one angle
+  per leading batch row) or a scalar, so a batch of states is
   transformed in one vectorized call.  Each writes a C-ordered output,
   fresh or the caller's ``out``, so the two halves of every qubit's pair
   are whole slabs.  H and RY work through the halves one cache-sized
   tile at a time (``_KERNEL_TILE_BYTES``), each tile with the same
   ufuncs in the same order, so tiling changes no bit of any amplitude;
-  ``kernel_ry`` also takes a one-tile ``scratch`` for its second
-  product.  ``kernel_cnot`` takes one CNOT or a run of them and moves
-  whole chunks of amplitudes in one gather, through two source tables of
-  at most 2^12 entries each (``_gather_tables``), at about the same
-  speed at every bit position.  H, RY and CNOT keep a real input real;
-  ``kernel_phase`` promotes its output to complex.  These are the hot
-  path for training.
+  ``kernel_ry`` also takes a ``scratch`` of one tile for its second
+  product and two planes of the batch's shape, into which it copies the
+  cos and sin of an angle given per leading batch row.  ``kernel_cnot``
+  takes one CNOT or a run of them and moves whole chunks of amplitudes
+  in one gather, through two source tables of at most 2^12 entries each
+  (``_gather_tables``), at about the same speed at every bit position.
+  H, RY and CNOT keep a real input real; ``kernel_phase`` promotes its
+  output to complex.  These are the hot path for training.
 * ``StateVector`` plus ``zero_state`` / ``apply_single`` / ``apply_cnot``
   / ``probabilities`` wrap the kernels in a validated value type for
   single-state work.
@@ -166,9 +168,18 @@ def kernel_ry(amps: np.ndarray, theta, qubit: int, out=None, scratch=None) -> np
     """RY rotation [[cos t/2, -sin t/2], [sin t/2, cos t/2]] on ``qubit``.
 
     Works one tile of the pair halves at a time (see ``_KERNEL_TILE_BYTES``).
-    ``scratch``, ``(k, *batch)`` for the ``k`` amplitudes of one tile
-    (``_tile_amplitudes``), holds a tile's second product; without it one
-    is allocated.  ``k`` is ``2**(n-1)`` when half the state fits in a tile.
+    ``scratch``, ``(k + 2, *batch)``, holds a tile's second product in its
+    first ``k`` rows, one per amplitude of a tile (``_tile_amplitudes``);
+    without it one is allocated.  ``k`` is ``2**(n-1)`` when half the
+    state fits in a tile.
+
+    ``theta`` is a scalar or broadcasts to the batch, such as one angle
+    per leading batch row, ``(B, 1)`` over ``(2**n, B, rows)``.  numpy
+    multiplies by such an angle, broadcast along a trailing axis, far more
+    slowly than by a whole plane, so its cos and sin are first copied into
+    the last two rows of ``scratch``, two planes of the amplitude dtype
+    shaped like the batch.  Every product is the same, bit for bit.  A
+    scalar, one-element or batch-shaped angle is used as it is.
     """
     a = _split(amps, qubit)
     half = np.asarray(theta, dtype=float) / 2.0
@@ -177,10 +188,14 @@ def kernel_ry(amps: np.ndarray, theta, qubit: int, out=None, scratch=None) -> np
     o = result.reshape(a.shape)
     k = _tile_amplitudes(amps)
     tiles = _tiles(a, o, k)
-    tmp = _target(amps, scratch, (k,) + amps.shape[1:], amps.dtype, "scratch")
+    tmp = _target(amps, scratch, (k + 2,) + amps.shape[1:], amps.dtype, "scratch")
     if scratch is not None and np.may_share_memory(tmp, result):
         raise UsageError("scratch must not overlap out")
-    tmp = tmp.reshape(tiles[0][1].shape)
+    if half.size > 1 and half.shape != amps.shape[1:]:
+        np.copyto(tmp[k], c)
+        np.copyto(tmp[k + 1], s)
+        c, s = tmp[k], tmp[k + 1]
+    tmp = tmp[:k].reshape(tiles[0][1].shape)
     for v0, v1, o0, o1 in tiles:
         np.multiply(s, v1, out=tmp)
         np.subtract(np.multiply(c, v0, out=o0), tmp, out=o0)
@@ -268,7 +283,7 @@ def _apply(amps: np.ndarray, name: str, qubits: tuple[int, ...], angle=None,
     """Apply the gate called ``name`` to ``qubits`` of ``amps``, into ``out`` if given.
 
     A ``cnot``'s ``qubits`` may be ``(controls, targets)``, a run of CNOTs
-    (see ``kernel_cnot``).  ``scratch`` is RY's one-tile second product;
+    (see ``kernel_cnot``).  ``scratch`` is RY's (see ``kernel_ry``);
     the other gates ignore it.
     """
     if name == "h":

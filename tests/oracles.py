@@ -63,6 +63,24 @@ def cnot_by_halves(amps: np.ndarray, control: int, target: int) -> np.ndarray:
     return out.reshape(amps.shape)
 
 
+def ry_by_halves(amps: np.ndarray, theta, qubit: int) -> np.ndarray:
+    """RY on ``(2**n, *batch)`` amplitudes by four products of whole pair halves.
+
+    On the ``(pre, 2, post, *batch)`` view, ``c * v0 - s * v1`` and
+    ``s * v0 + c * v1`` with ``c``, ``s`` the cos and sin of ``theta / 2``,
+    broadcast as given: the package's own RY before it tiled its halves or
+    filled cos and sin planes.
+    """
+    n = amps.shape[0].bit_length() - 1
+    a = amps.reshape((1 << (n - 1 - qubit), 2, 1 << qubit) + amps.shape[1:])
+    half = np.asarray(theta, dtype=float) / 2.0
+    c, s = np.cos(half), np.sin(half)
+    out = np.empty(a.shape, amps.dtype)
+    out[:, 0] = c * a[:, 0] - s * a[:, 1]
+    out[:, 1] = s * a[:, 0] + c * a[:, 1]
+    return out.reshape(amps.shape)
+
+
 def circuit_state(n_qubits: int, gates) -> np.ndarray:
     """|0...0> through ``(name, qubits, theta)`` gates by dense matrix products."""
     state = np.zeros(1 << n_qubits, dtype=complex)

@@ -5,7 +5,9 @@ layer ``MISSING`` in a traced run; and its workloads call package names
 directly, so a renamed one crashes a workload.  This reads the benchmark's
 modules, read-only, so that such a rename fails here first.  A walk that
 stopped calling ``statevector.kernel_cnot`` by that name would leave the
-layer ``MISSING`` too, so the calls that reach it are counted here.
+layer ``MISSING`` too, so the calls that reach it are counted here, as
+are the AQGD calls that reach ``optim.parameter_shift_gradient``,
+``qnn.batch_loss`` and ``statevector.kernel_ry``.
 """
 
 import importlib
@@ -18,9 +20,10 @@ from pathlib import Path
 import numpy as np
 
 import eqnn.cli  # noqa: F401  (imports every layer module)
-from eqnn import statevector
+from eqnn import optim, qnn, statevector
 from eqnn.circuit import build_real_amplitudes
 from eqnn.data import gen_two_class_usage
+from eqnn.optim import OptimizerConfig, initial_weights, make_objective, minimize
 from eqnn.qnn import CROSS_ENTROPY, batch_loss, build_model, probabilities_batch, simulate
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -103,3 +106,38 @@ def test_the_benchmark_model_reaches_kernel_cnot_once_per_cnot(monkeypatch):
     calls.clear()
     batch_loss(model, w, gen_two_class_usage(per_class=2, seed=1), CROSS_ENTROPY)
     assert len(calls) == len(cnots)
+
+
+def count_calls(monkeypatch, *layers) -> list:
+    """Record the name of every call that reaches one of the ``(module, name)`` layers."""
+    calls = []
+    for module, name in layers:
+
+        def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_an_aqgd_run_reaches_the_gradient_and_loss_layers(monkeypatch):
+    # Three AQGD steps take three gradients, whose base rows give the losses
+    # at w1 and w2, and one plain loss at w3; each gradient walks every RY
+    # of the ansatz through ``kernel_ry``, one block of rows.
+    calls = count_calls(
+        monkeypatch,
+        (optim, "parameter_shift_gradient"),
+        (qnn, "batch_loss"),
+        (statevector, "kernel_ry"),
+    )
+    model = build_model("eqnn1")
+    objective = make_objective(model, gen_two_class_usage(per_class=5, seed=2), CROSS_ENTROPY)
+    w0 = initial_weights(model.n_weights, seed=2)
+    minimize(objective, w0, OptimizerConfig(kind="aqgd", max_iters=3))
+    assert calls.count("parameter_shift_gradient") == 3
+    assert calls.count("batch_loss") == 1
+    calls.clear()
+    objective.value_and_grad(w0)
+    rys = sum(g.name == "ry" for g in model.variational.gates)
+    assert calls == ["parameter_shift_gradient"] + ["kernel_ry"] * rys

@@ -311,15 +311,16 @@ def test_spsa_same_seed_bit_identical():
 def test_aqgd_quadratic_converges_monotonically():
     fun, grad = quadratic([0.0, 0.0, 0.0, 0.0])
     trace = minimize(
-        Objective(fun=fun, dim=4, grad=grad),
+        Objective(fun=fun, dim=4, value_and_grad=lambda w: (fun(w), grad(w))),
         [1.0, 1.0, 1.0, 1.0],
         OptimizerConfig(kind="aqgd", max_iters=100),
     )
     assert trace.final_loss < 1e-6
     assert np.all(np.diff(trace.losses) <= 0)
     assert trace.iterations == 100
-    # one objective call per iteration plus 2*dim+1 gradient-equivalent passes
-    assert trace.evaluations == 100 * (2 * 4 + 2)
+    # 2*dim+1 rows per gradient, whose base row gives the loss at each
+    # iterate but the last, plus one plain loss at the last
+    assert trace.evaluations == 100 * 9 + 1
 
 
 @pytest.mark.parametrize("kind", ["cobyla", "spsa", "aqgd"])
@@ -343,11 +344,35 @@ def test_reported_evaluations_equal_dataset_passes(monkeypatch, kind):
     assert len(passes) == trace.evaluations
 
 
+@pytest.mark.parametrize("max_iters", [1, 5])
+@pytest.mark.parametrize("name", ["simplified", "benchmark", "eqnn1", "eqnn3"])
+def test_aqgd_trace_equals_a_gradient_then_loss_reference_loop(name, max_iters):
+    # Every loss but the last comes from the base row of the next gradient's
+    # walk, yet the trace equals, bit for bit, a loop that takes each
+    # gradient and then the loss at the new weights on its own.
+    if name == "simplified":
+        model, dataset, kind = simplified_model(), gen_linear(40, seed=8), SQUARED_ERROR
+    else:
+        model, kind = build_model(name), CROSS_ENTROPY
+        dataset = gen_two_class_usage(per_class=20, seed=8)
+    w = w0 = initial_weights(model.n_weights, seed=8)
+    objective = make_objective(model, dataset, kind)
+    trace = minimize(objective, w0, OptimizerConfig(kind="aqgd", max_iters=max_iters))
+    losses = []
+    for _ in range(max_iters):
+        w = w - optim.LEARNING_RATE * parameter_shift_gradient(model, w, dataset, kind)
+        losses.append(batch_loss(model, w, dataset, kind))
+    assert trace.losses.tobytes() == np.array(losses).tobytes()
+    assert trace.final_weights.tobytes() == w.tobytes()
+    assert trace.evaluations == (2 * model.n_weights + 1) * max_iters + 1
+
+
 def test_stacked_gradient_memory_stays_below_one_amplitude_stack():
     # eqnn3 at 8000 rows: the 2m+1 = 17 weight rows are walked in row blocks
-    # through the objective's 2.5-block workspace, so the peak, the encoding
-    # and the workspace included, is about one (17, 8000) array of fitted
-    # values on top of those (2.5 MB measured), below the 4.35 MB that an
+    # through the objective's 3-block workspace (two walk buffers, and RY's
+    # tile and cos and sin planes), so the peak, the encoding and the
+    # workspace included, is about one (17, 8000) array of fitted values
+    # on top of those (2.6 MB measured), below the 4.35 MB that an
     # unblocked (17, 8000, 4) float64 stack of amplitudes would take alone.
     model = build_model("eqnn3")
     dataset = gen_two_class_usage(per_class=4000, seed=5)
@@ -356,7 +381,7 @@ def test_stacked_gradient_memory_stays_below_one_amplitude_stack():
     tracemalloc.start()
     try:
         objective = make_objective(model, dataset, CROSS_ENTROPY)
-        objective.grad(w)
+        objective.value_and_grad(w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -371,9 +396,9 @@ def _owner(array: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("name, call", [
     ("eqnn3", lambda objective, w: objective.fun(w)),
-    ("benchmark", lambda objective, w: objective.grad(w)),
+    ("benchmark", lambda objective, w: objective.value_and_grad(w)),
     pytest.param(
-        "eqnn3", lambda objective, w: (objective.grad(w), objective.fun(w)),
+        "eqnn3", lambda objective, w: (objective.value_and_grad(w), objective.fun(w)),
         id="eqnn3-gradient-then-loss",
     ),
 ])
@@ -486,12 +511,37 @@ def test_non_finite_loss_aborts_with_weights():
     def explodes(w):
         return math.inf if abs(w[0]) > 10 else float(w[0] ** 2)
 
-    with pytest.raises(NonFiniteLossError):
+    # AQGD's first step lands on w1 = 0.4 * 1e6, whose loss comes with the
+    # gradient there; it is refused, naming w1.
+    with pytest.raises(NonFiniteLossError) as info:
         minimize(
-            Objective(fun=explodes, dim=1, grad=lambda w: -1e6 * np.ones(1)),
+            Objective(fun=explodes, dim=1,
+                      value_and_grad=lambda w: (explodes(w), -1e6 * np.ones(1))),
             [0.0],
             OptimizerConfig(kind="aqgd", max_iters=5),
         )
+    np.testing.assert_array_equal(info.value.weights, [optim.LEARNING_RATE * 1e6])
+
+
+def test_aqgd_refuses_a_non_finite_final_loss_and_skips_the_unrecorded_first_one():
+    # The gradient's losses are finite at w1 and w2 and nan at the unrecorded
+    # w0; only the plain loss at the last iterate w3 is nan, and it is refused.
+    fun, grad = quadratic([0.0])
+    w0 = np.array([1.0])
+    iterates = [w0]
+    for _ in range(3):
+        iterates.append(iterates[-1] - optim.LEARNING_RATE * grad(iterates[-1]))
+
+    def value_and_grad(w):
+        return (math.nan if np.array_equal(w, w0) else fun(w)), grad(w)
+
+    with pytest.raises(NonFiniteLossError) as info:
+        minimize(
+            Objective(fun=lambda w: math.nan, dim=1, value_and_grad=value_and_grad),
+            w0,
+            OptimizerConfig(kind="aqgd", max_iters=3),
+        )
+    np.testing.assert_array_equal(info.value.weights, iterates[3])
 
 
 # --------------------------------------------------------------------------
@@ -706,8 +756,10 @@ def test_make_objective_wires_loss_and_gradient():
     assert objective.fun(w) == pytest.approx(
         batch_loss(model, w, dataset, SQUARED_ERROR)
     )
+    loss, gradient = objective.value_and_grad(w)
+    assert loss == batch_loss(model, w, dataset, SQUARED_ERROR)
     np.testing.assert_array_equal(
-        objective.grad(w), parameter_shift_gradient(model, w, dataset, SQUARED_ERROR)
+        gradient, parameter_shift_gradient(model, w, dataset, SQUARED_ERROR)
     )
 
 
@@ -752,7 +804,7 @@ def test_objective_encodes_and_reads_out_once(monkeypatch, model, dataset, kind)
     w = initial_weights(model.n_weights, seed=2)
     for _ in range(3):
         objective.fun(w)
-        objective.grad(w)
+        objective.value_and_grad(w)
     assert calls == built
 
 
@@ -772,7 +824,7 @@ def test_objective_evaluates_through_the_public_loss_and_gradient(monkeypatch):
     w = initial_weights(model.n_weights, seed=3)
     objective.fun(w)
     assert calls == ["batch_loss"]
-    objective.grad(w)
+    objective.value_and_grad(w)
     assert calls == ["batch_loss", "parameter_shift_gradient"]
 
 

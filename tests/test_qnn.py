@@ -353,7 +353,7 @@ def test_two_qubit_and_empty_walks_never_rotate(monkeypatch):
         objective = make_objective(model, dataset, CROSS_ENTROPY)
         w = initial_weights(model.n_weights, seed=9)
         objective.fun(w)
-        objective.grad(w)
+        objective.value_and_grad(w)
     for model in (simplified_model(),) + tuple(build_model(name) for name in ALL_NAMED):
         predict_probs(model, X[:, : model.n_inputs], np.zeros(model.n_weights))
     # A wide register with no rows has nothing to rotate.

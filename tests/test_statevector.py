@@ -451,11 +451,11 @@ def test_kernels_take_numpy_integer_qubits():
 @given(data=st.data())
 def test_kernels_write_into_a_given_out_exactly_as_into_a_fresh_one(data):
     # Any n, dtype, batch shape, input layout and kernel tile: a kernel
-    # given ``out`` (and RY its one-tile ``scratch``) fills it with exactly
-    # the fresh output, returns it, and leaves the input untouched.  An
-    # ``out`` or ``scratch`` that may overlap the input (or, for
-    # ``scratch``, ``out``), or has the wrong shape, dtype or order, or is
-    # read-only, is refused.
+    # given ``out`` (and RY its ``scratch``, a tile and two planes) fills
+    # it with exactly the fresh output, returns it, and leaves the input
+    # untouched.  An ``out`` or ``scratch`` that may overlap the input (or,
+    # for ``scratch``, ``out``), or has the wrong shape, dtype or order, or
+    # is read-only, is refused.
     n = data.draw(st.integers(1, 5), label="n")
     batch = data.draw(st.one_of(st.just(()), st.tuples(st.integers(1, 4))), label="batch")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -473,7 +473,7 @@ def test_kernels_write_into_a_given_out_exactly_as_into_a_fresh_one(data):
 
 def _check_given_out(amps, before, theta, q, batch):
     n = len(amps).bit_length() - 1
-    tile = (statevector._tile_amplitudes(amps),) + batch
+    scratch = (statevector._tile_amplitudes(amps) + 2,) + batch
     kernels = {
         "h": (lambda a, **kw: kernel_h(a, q, **kw), amps.dtype),
         "ry": (lambda a, **kw: kernel_ry(a, theta, q, **kw), amps.dtype),
@@ -484,7 +484,7 @@ def _check_given_out(amps, before, theta, q, batch):
     for name, (kernel, dtype) in kernels.items():
         fresh = kernel(amps)
         out = np.full(amps.shape, np.nan, dtype)
-        extra = {"scratch": np.full(tile, np.nan, dtype)} if name == "ry" else {}
+        extra = {"scratch": np.full(scratch, np.nan, dtype)} if name == "ry" else {}
         assert kernel(amps, out=out, **extra) is out
         np.testing.assert_array_equal(out, fresh)
         np.testing.assert_array_equal(amps, before)
@@ -512,46 +512,112 @@ def _check_given_out(amps, before, theta, q, batch):
         with pytest.raises(UsageError, match="must not overlap the input"):
             kernel(source, out=overlapping, **extra)
         if name == "ry":
-            _check_given_scratch(kernel, amps, tile, dtype)
+            _check_given_scratch(kernel, amps, scratch, dtype)
         np.testing.assert_array_equal(amps, before)
 
 
-def _check_given_scratch(kernel, amps, tile, dtype):
-    """RY refuses a scratch of another shape (a half-size one where it tiles),
-    dtype or order, a read-only one, and one that overlaps its input or ``out``."""
-    fresh_out = np.empty(amps.shape, dtype)
-    read_only = np.empty(tile, dtype)
+def _check_given_scratch(kernel, amps, shape, dtype):
+    """RY refuses a scratch of another shape than ``shape``, a tile and two
+    planes (such as the tile alone, or a half-size one where it tiles),
+    dtype or order, a read-only one, and one that overlaps its input or
+    ``out``."""
+    read_only = np.empty(shape, dtype)
     read_only.flags.writeable = False
+    tile = shape[0] - 2
     wrong = [
-        np.empty(amps.shape, dtype),
-        np.empty((tile[0] + 1,) + tile[1:], dtype),
-        np.empty((tile[0] - 1,) + tile[1:], dtype),
-        np.empty(tile, np.float32),
+        np.empty((tile,) + shape[1:], dtype),
+        np.empty((tile - 1,) + shape[1:], dtype),
+        np.empty((tile + 1,) + shape[1:], dtype),
+        np.empty((tile + 3,) + shape[1:], dtype),
+        np.empty(shape, np.float32),
         read_only,
     ]
-    if tile[0] < len(amps) // 2:
-        wrong.append(np.empty((len(amps) // 2,) + tile[1:], dtype))
-    transposed = np.empty(tile[::-1], dtype).T
+    # A tile and two planes is the whole state of two qubits, and half the
+    # state where a tile is two amplitudes short of it.
+    if len(amps) != shape[0]:
+        wrong.append(np.empty(amps.shape, dtype))
+    if tile < len(amps) // 2 != shape[0]:
+        wrong.append(np.empty((len(amps) // 2,) + shape[1:], dtype))
+    transposed = np.empty(shape[::-1], dtype).T
     if not transposed.flags.c_contiguous:
         wrong.append(transposed)
     for bad in wrong:
         with pytest.raises(UsageError, match="scratch must"):
-            kernel(amps, out=fresh_out, scratch=bad)
-    size = math.prod(tile)
-    source = np.empty(amps.size, dtype)
-    source[:] = amps.ravel()
+            kernel(amps, out=np.empty(amps.shape, dtype), scratch=bad)
+    # One buffer under both the input (or ``out``) and the scratch; a
+    # scratch may be longer than a one-qubit state.
+    size = math.prod(shape)
+    shared = np.empty(max(amps.size, size), dtype)
+    shared[: amps.size] = amps.ravel()
+    source, overlapping = shared[: amps.size].reshape(amps.shape), shared[:size].reshape(shape)
     with pytest.raises(UsageError, match="scratch must .*not overlap the input"):
-        kernel(source.reshape(amps.shape), out=fresh_out, scratch=source[:size].reshape(tile))
+        kernel(source, out=np.empty(amps.shape, dtype), scratch=overlapping)
     with pytest.raises(UsageError, match="scratch must not overlap out"):
-        kernel(amps, out=fresh_out, scratch=fresh_out.reshape(-1)[:size].reshape(tile))
+        kernel(amps, out=source, scratch=overlapping)
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_ry_with_one_angle_per_leading_row_equals_the_four_product_oracle(data):
+    # A (B, 1) angle over (2**n, B, rows) amplitudes, as a gradient walks
+    # its 2m+1 weight rows: any position, real or complex, C-ordered,
+    # zero-stride or transposed input, with or without a given scratch,
+    # and one tiled wide register: every byte equals the four products
+    # broadcast as given.
+    tiled = data.draw(st.booleans(), label="tiled")
+    if tiled:  # more than one kernel tile per half
+        n, B, rows = (data.draw(st.integers(*bounds)) for bounds in ((10, 12), (2, 4), (20, 32)))
+    else:
+        n, B, rows = (data.draw(st.integers(*bounds)) for bounds in ((1, 4), (2, 40), (1, 600)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    amps = rng.normal(size=(1 << n, B, rows))
+    if data.draw(st.booleans(), label="complex"):
+        amps = amps + 1j * rng.normal(size=amps.shape)
+    amps = _layouts(data.draw, amps)
+    before = amps.copy()
+    theta = rng.uniform(-np.pi, np.pi, (B, 1))
+    q = data.draw(st.integers(0, n - 1), label="qubit")
+    k = statevector._tile_amplitudes(amps)
+    assert not tiled or k < len(amps) // 2
+    want = oracles.ry_by_halves(amps, theta, q).tobytes()
+    assert kernel_ry(amps, theta, q).tobytes() == want
+    scratch = np.full((k + 2, B, rows), np.nan, amps.dtype)
+    out = np.full(amps.shape, np.nan, amps.dtype)
+    assert kernel_ry(amps, theta, q, out=out, scratch=scratch) is out
+    assert out.tobytes() == want
+    if rows > 1:  # the angle broadcast along rows, through the planes
+        cos_sin = np.stack([np.cos(theta / 2.0), np.sin(theta / 2.0)])
+        np.testing.assert_array_equal(scratch[k:], np.broadcast_to(cos_sin, scratch[k:].shape))
+    np.testing.assert_array_equal(amps, before)
+
+
+def test_ry_with_planes_in_scratch_allocates_nothing_of_batch_size():
+    # A gradient's block: 17 weight rows over 481 rows of a two-qubit
+    # register, one angle per weight row.  Given ``out`` and a scratch of
+    # a tile and two planes, cos and sin are filled into the planes, and
+    # nothing of one (17, 481) plane's size is allocated.
+    amps = np.random.default_rng(22).normal(size=(4, 17, 481))
+    theta = np.random.default_rng(23).uniform(-np.pi, np.pi, (17, 1))
+    k = statevector._tile_amplitudes(amps)
+    out, scratch = np.empty_like(amps), np.empty((k + 2, 17, 481))
+    plane = 17 * 481 * amps.itemsize
+    tracemalloc.start()
+    try:
+        kernel_ry(amps, theta, 0, out=out, scratch=scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < plane / 10, peak
+    assert out.tobytes() == oracles.ry_by_halves(amps, theta, 0).tobytes()
 
 
 def test_kernels_given_out_allocate_nothing_of_size():
-    # With ``out`` (and RY's one-tile ``scratch``) supplied, a kernel on one
-    # 2**16-amplitude float64 state allocates no array of its size.
+    # With ``out`` (and RY's ``scratch``, one tile and two one-amplitude
+    # planes) supplied, a kernel on one 2**16-amplitude float64 state
+    # allocates no array of its size.
     amps = np.random.default_rng(21).normal(size=1 << 16)
     out = np.empty_like(amps)
-    scratch = np.empty(statevector._KERNEL_TILE_BYTES // amps.itemsize)
+    scratch = np.empty(statevector._KERNEL_TILE_BYTES // amps.itemsize + 2)
     for kernel in (
         lambda: kernel_cnot(amps, 3, 9, out=out),
         lambda: kernel_h(amps, 15, out=out),
