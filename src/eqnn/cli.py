@@ -103,7 +103,7 @@ def _write_loss_csv(path: str, losses):
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _report(model: QnnModel, optimizer: str, seed: int, trace, final_loss: float) -> dict:
+def _report(model: QnnModel, optimizer: str, seed: int, trace) -> dict:
     return {
         "schema": SCHEMA,
         "model": model.name,
@@ -112,7 +112,7 @@ def _report(model: QnnModel, optimizer: str, seed: int, trace, final_loss: float
         "gate_counts": gate_summary(model),
         "iterations": trace.iterations,
         "evaluations": trace.evaluations,
-        "final_loss": final_loss,
+        "final_loss": trace.final_loss,
         "loss_history": [float(v) for v in trace.losses],
         "trained_weights": [float(v) for v in trace.final_weights],
     }
@@ -123,8 +123,7 @@ def _train_once(model: QnnModel, kind: str, dataset: Dataset, optimizer: str,
     objective = make_objective(model, dataset, kind)
     w0 = initial_weights(model.n_weights, seed)
     config = OptimizerConfig(kind=optimizer, max_iters=iters, seed=seed)
-    trace = minimize(objective, w0, config)
-    return trace, objective.fun(trace.final_weights)
+    return minimize(objective, w0, config)
 
 
 def _sampled_accuracy(model: QnnModel, w, dataset: Dataset, shots: int, seed: int) -> float:
@@ -205,7 +204,7 @@ def cmd_fit_activation(target: str, optimizer: str, iters: int, n_samples: int,
     prefix = out_prefix or target
     dataset = FIT_GENERATORS[target](n_samples, seed)
     model = simplified_model()
-    trace, final_mse = _train_once(model, SQUARED_ERROR, dataset, optimizer, iters, seed)
+    trace = _train_once(model, SQUARED_ERROR, dataset, optimizer, iters, seed)
 
     x = dataset.features_array()
     order = np.argsort(x[:, 0], kind="stable")
@@ -218,13 +217,13 @@ def cmd_fit_activation(target: str, optimizer: str, iters: int, n_samples: int,
     ]
     _write_atomic(f"{prefix}_fit.csv", "\n".join(lines) + "\n")
 
-    report = _report(model, optimizer, seed, trace, final_mse)
+    report = _report(model, optimizer, seed, trace)
     report["target"] = target
     report["n_samples"] = len(dataset)
     report["wall_time_s"] = time.perf_counter() - started
     _write_json(f"{prefix}_report.json", report)
     click.echo(
-        f"{target}: mse {final_mse:.6g}, trained weights "
+        f"{target}: mse {trace.final_loss:.6g}, trained weights "
         f"{[round(float(v), 6) for v in trace.final_weights]} -> {prefix}_report.json"
     )
 
@@ -278,10 +277,10 @@ def cmd_train(model_name: str, optimizer: str, iters: int, data_path: str | None
 
     model = build_model(model_name, rescale=rescale)
     prefix = out_prefix or f"{model_name}_{optimizer}"
-    trace, final_loss = _train_once(model, CROSS_ENTROPY, dataset, optimizer, iters, seed)
+    trace = _train_once(model, CROSS_ENTROPY, dataset, optimizer, iters, seed)
     train_accuracy = accuracy(model, trace.final_weights, dataset)
 
-    report = _report(model, optimizer, seed, trace, final_loss)
+    report = _report(model, optimizer, seed, trace)
     report["accuracy"] = train_accuracy
     report["n_samples"] = len(dataset)
     report["rescale"] = rescale
@@ -307,7 +306,7 @@ def cmd_train(model_name: str, optimizer: str, iters: int, data_path: str | None
     message = f"{model_name} + {optimizer}: accuracy {train_accuracy:.4f}"
     if test_set is not None:
         message += f" (test {report['test_accuracy']:.4f})"
-    click.echo(message + f", final loss {final_loss:.6g} -> {prefix}_report.json")
+    click.echo(message + f", final loss {trace.final_loss:.6g} -> {prefix}_report.json")
 
 
 # --------------------------------------------------------------------------
@@ -335,19 +334,17 @@ def cmd_reproduce(seed: int, iters: int, out_dir: str):
     for target in FIT_GENERATORS:
         dataset = FIT_GENERATORS[target](200, seed)
         model = simplified_model()
-        trace, mse = _train_once(model, SQUARED_ERROR, dataset, "aqgd", iters, seed)
+        trace = _train_once(model, SQUARED_ERROR, dataset, "aqgd", iters, seed)
         _write_loss_csv(path(f"fit_{target}_loss.csv"), trace.losses)
-        fit_rows.append((target, mse, float(trace.final_weights[0])))
-        click.echo(f"fit {target}: mse {mse:.6g}")
+        fit_rows.append((target, trace.final_loss, float(trace.final_weights[0])))
+        click.echo(f"fit {target}: mse {trace.final_loss:.6g}")
 
     table3: dict[str, dict[str, float]] = {}
     dataset = gen_two_class_usage(500, seed)
     for name, model in models.items():
         table3[name] = {}
         for optimizer in OPTIMIZER_NAMES:
-            trace, final_loss = _train_once(
-                model, CROSS_ENTROPY, dataset, optimizer, iters, seed
-            )
+            trace = _train_once(model, CROSS_ENTROPY, dataset, optimizer, iters, seed)
             acc = accuracy(model, trace.final_weights, dataset)
             table3[name][optimizer] = acc
             _write_loss_csv(path(f"{name}_{optimizer}_loss.csv"), trace.losses)

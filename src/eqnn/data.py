@@ -1,4 +1,9 @@
-"""Dataset generation, normalization, and CSV persistence.
+"""Datasets: generation, normalization, splitting and CSV persistence.
+
+A ``Dataset`` holds its rows as read-only float64 columns, ``features``
+``(N, d)`` and ``targets`` ``(N,)``, which every producer here fills
+directly; ``Sample`` rows appear only in ``Dataset(samples, ...)`` and
+``Dataset.samples``.  Datasets are equal when all their fields are.
 
 Generators draw from ``numpy.random.default_rng`` (PCG64), so a seed
 pins the dataset bit-for-bit on any platform with the same numpy
@@ -30,7 +35,6 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -53,54 +57,74 @@ class Sample:
     target: float | int
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Dataset:
-    samples: tuple[Sample, ...]
+    """Rows of one ``kind`` as columns; ``Sample`` rows are converted on construction."""
+
+    features: np.ndarray
+    targets: np.ndarray
     kind: str
     generator: str
     seed: int
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise UsageError(f"unknown dataset kind {self.kind!r}")
-        object.__setattr__(self, "samples", tuple(self.samples))
-        widths = {len(s.features) for s in self.samples}
-        if len(widths) > 1:
-            raise UsageError(f"inconsistent feature widths {sorted(widths)}")
-        if self.kind == CLASSIFICATION_KIND:
-            bad = {s.target for s in self.samples} - {0, 1}
-            if bad:
-                raise UsageError(f"classification targets must be 0/1, got {sorted(bad)}")
+    def __init__(self, samples, kind: str, generator: str, seed: int):
+        rows = tuple(samples)
+        try:
+            features = np.array([s.features for s in rows], dtype=float)
+            targets = np.array([s.target for s in rows]).astype(float, casting="same_kind")
+        except (TypeError, ValueError):
+            raise UsageError("samples need features of one width and numeric targets") from None
+        width = len(rows[0].features) if rows else 0
+        self._hold(features.reshape(len(rows), width), targets, kind, generator, seed)
+
+    @classmethod
+    def _of(cls, features, targets, kind, generator, seed) -> Dataset:
+        """A dataset taking over ``features`` and ``targets``, which no one else writes."""
+        return cls.__new__(cls)._hold(features, targets, kind, generator, seed)
+
+    def _hold(self, features, targets, kind, generator, seed) -> Dataset:
+        """The one validation: a known kind, one target per feature row, 0/1 labels."""
+        if kind not in KINDS:
+            raise UsageError(f"unknown dataset kind {kind!r}")
+        if features.ndim != 2 or targets.shape != features.shape[:1]:
+            raise UsageError(f"{features.shape} features do not pair with {targets.shape} targets")
+        if kind == CLASSIFICATION_KIND:
+            bad = np.unique(targets[(targets != 0) & (targets != 1)])
+            if bad.size:
+                raise UsageError(f"classification targets must be 0/1, got {bad.tolist()}")
+        features.flags.writeable = targets.flags.writeable = False
+        vars(self).update(features=features, targets=targets, kind=kind,
+                          generator=generator, seed=seed)
+        return self
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Dataset) and all(
+            np.array_equal(value, vars(other)[name]) for name, value in vars(self).items()
+        )
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.targets)
 
     @property
     def n_features(self) -> int:
-        return len(self.samples[0].features) if self.samples else 0
+        return self.features.shape[1]
 
-    @cached_property
-    def _features(self) -> np.ndarray:
-        return np.array([s.features for s in self.samples], dtype=float)
-
-    @cached_property
-    def _targets(self) -> np.ndarray:
-        return np.array([s.target for s in self.samples], dtype=float)
+    @property
+    def samples(self) -> tuple[Sample, ...]:
+        """The rows as ``Sample``s, built on each access; class labels are ``int``."""
+        label = int if self.kind == CLASSIFICATION_KIND else float
+        return tuple(
+            Sample(tuple(x), label(y))
+            for x, y in zip(self.features.tolist(), self.targets.tolist())
+        )
 
     def features_array(self) -> np.ndarray:
-        """(n_samples, n_features) float array.  Treat as read-only."""
-        return self._features
+        """(n_samples, n_features) float array, read-only."""
+        return self.features
 
     def targets_array(self) -> np.ndarray:
-        """(n_samples,) float array of targets/labels.  Treat as read-only."""
-        return self._targets
-
-
-def _regression_set(name: str, seed: int, features, targets) -> Dataset:
-    samples = tuple(
-        Sample((float(x),), float(y)) for x, y in zip(features, targets)
-    )
-    return Dataset(samples, REGRESSION_KIND, name, seed)
+        """(n_samples,) float array of targets/labels, read-only."""
+        return self.targets
 
 
 def _uniform_draw(n: int, seed: int, half_width: float) -> np.ndarray:
@@ -113,20 +137,20 @@ def _uniform_draw(n: int, seed: int, half_width: float) -> np.ndarray:
 def gen_linear(n: int = 200, seed: int = 0) -> Dataset:
     """y = x on x ~ Uniform[-1, 1]."""
     x = _uniform_draw(n, seed, 1.0)
-    return _regression_set("linear", seed, x, x)
+    return Dataset._of(x.reshape(-1, 1), x, REGRESSION_KIND, "linear", seed)
 
 
 def gen_sigmoid(n: int = 200, seed: int = 0) -> Dataset:
     """y = 2*s(raw) - 1 on raw ~ Uniform[-3, 3], stored feature raw/2."""
     raw = _uniform_draw(n, seed, 3.0)
     y = 2.0 / (1.0 + np.exp(-raw)) - 1.0
-    return _regression_set("sigmoid", seed, raw / 2.0, y)
+    return Dataset._of((raw / 2.0).reshape(-1, 1), y, REGRESSION_KIND, "sigmoid", seed)
 
 
 def gen_tanh(n: int = 200, seed: int = 0) -> Dataset:
     """y = tanh(x) on x ~ Uniform[-1.5, 1.5]."""
     x = _uniform_draw(n, seed, 1.5)
-    return _regression_set("tanh", seed, x, np.tanh(x))
+    return Dataset._of(x.reshape(-1, 1), np.tanh(x), REGRESSION_KIND, "tanh", seed)
 
 
 def gen_two_class_usage(per_class: int = 500, seed: int = 0) -> Dataset:
@@ -144,21 +168,19 @@ def gen_two_class_usage(per_class: int = 500, seed: int = 0) -> Dataset:
     end0 = mid0 + rng.uniform(0.2, 2.0, per_class)
     mid1 = rng.uniform(6.0, 12.0, per_class)
     end1 = mid1 + rng.uniform(1.0, 8.0, per_class)
-    mids = np.concatenate([mid0, mid1])
-    ends = np.concatenate([end0, end1])
-    samples = tuple(
-        Sample((float(m), float(e)), int(label))
-        for m, e, label in zip(mids, ends, [0] * per_class + [1] * per_class)
-    )
-    raw = Dataset(samples, CLASSIFICATION_KIND, "two_class_usage", seed)
-    return normalize_minmax(raw)
+    raw = np.stack([np.concatenate([mid0, mid1]), np.concatenate([end0, end1])], axis=1)
+    labels = np.repeat([0.0, 1.0], per_class)
+    return normalize_minmax(Dataset._of(raw, labels, CLASSIFICATION_KIND, "two_class_usage", seed))
 
 
 def normalize_minmax(dataset: Dataset) -> Dataset:
-    """Map each feature linearly onto [0, 1] by its min and max."""
+    """Map each feature linearly onto [0, 1] by its min and max; each must be finite."""
     if len(dataset) == 0:
         raise UsageError("dataset is empty")
-    values = dataset.features_array()
+    values = dataset.features
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise UsageError(f"dataset row {int(np.argmin(finite))} has a non-finite feature")
     lo, hi = values.min(axis=0), values.max(axis=0)
     degenerate = np.flatnonzero(hi <= lo)
     if degenerate.size:
@@ -166,11 +188,7 @@ def normalize_minmax(dataset: Dataset) -> Dataset:
             f"feature(s) {degenerate.tolist()} have zero range; cannot normalize"
         )
     scaled = (values - lo) / (hi - lo)
-    samples = tuple(
-        Sample(tuple(float(v) for v in row), s.target)
-        for row, s in zip(scaled, dataset.samples)
-    )
-    return Dataset(samples, dataset.kind, dataset.generator, dataset.seed)
+    return Dataset._of(scaled, dataset.targets, dataset.kind, dataset.generator, dataset.seed)
 
 
 def split_dataset(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -183,30 +201,23 @@ def split_dataset(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Da
         raise UsageError(
             f"split of {len(dataset)} samples at {test_fraction} leaves an empty side"
         )
-    test_idx, train_idx = order[:n_test], order[n_test:]
-
-    def subset(idx) -> Dataset:
-        samples = tuple(dataset.samples[i] for i in idx)
-        return Dataset(samples, dataset.kind, dataset.generator, dataset.seed)
-
-    return subset(train_idx), subset(test_idx)
+    return tuple(
+        Dataset._of(dataset.features[rows], dataset.targets[rows],
+                    dataset.kind, dataset.generator, dataset.seed)
+        for rows in (order[n_test:], order[:n_test])
+    )
 
 
 # --------------------------------------------------------------------------
 # Persistence
 
 
-def _format_target(kind: str, target) -> str:
-    return str(int(target)) if kind == CLASSIFICATION_KIND else repr(float(target))
-
-
 def save_csv(dataset: Dataset, path):
     """Write the header + rows format; the write is atomic (temp + rename)."""
+    targets = dataset.targets.astype(int if dataset.kind == CLASSIFICATION_KIND else float)
+    columns = [map(repr, column) for column in (*dataset.features.T.tolist(), targets.tolist())]
     lines = [f"# generator={dataset.generator} seed={dataset.seed} kind={dataset.kind}"]
-    for s in dataset.samples:
-        row = [repr(float(v)) for v in s.features]
-        row.append(_format_target(dataset.kind, s.target))
-        lines.append(",".join(row))
+    lines += map(",".join, zip(*columns))
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -230,6 +241,8 @@ def _write_atomic(path, text: str):
 
 
 def _parse_header(line: str) -> tuple[str, int, str]:
+    if not line.startswith("#"):
+        raise DataFormatError("expected '# generator=... seed=... kind=...' header", line_number=1)
     fields = dict(
         token.split("=", 1) for token in line[1:].split() if "=" in token
     )
@@ -246,50 +259,36 @@ def _parse_header(line: str) -> tuple[str, int, str]:
 
 
 def load_csv(path) -> Dataset:
-    """Read a file written by ``save_csv``; fails with the offending line number."""
+    """Read a file written by ``save_csv``, as floats in one pass; fails with the line number."""
     with open(path, "r", newline="") as fh:
         raw_lines = fh.read().split("\n")
-    if not raw_lines or not raw_lines[0].startswith("#"):
-        raise DataFormatError(
-            "expected '# generator=... seed=... kind=...' header", line_number=1
-        )
     generator, seed, kind = _parse_header(raw_lines[0])
-    samples: list[Sample] = []
-    width: int | None = None
+    values: list[float] = []
+    width = 0
     for number, line in enumerate(raw_lines[1:], start=2):
         if not line.strip():
             continue
         cells = line.split(",")
-        if width is None:
-            width = len(cells)
-            if width < 2:
-                raise DataFormatError(
-                    "need at least one feature and a target", line_number=number
-                )
-        elif len(cells) != width:
+        width = width or len(cells)
+        if width < 2:
+            raise DataFormatError("need at least one feature and a target", line_number=number)
+        if len(cells) != width:
             raise DataFormatError(
                 f"expected {width} columns, got {len(cells)}", line_number=number
             )
         try:
-            features = tuple(float(c) for c in cells[:-1])
+            row = list(map(float, cells if kind == REGRESSION_KIND else cells[:-1]))
         except ValueError as exc:
             raise DataFormatError(str(exc), line_number=number) from None
         if kind == CLASSIFICATION_KIND:
-            label = cells[-1].strip()
-            if label not in ("0", "1"):
-                raise DataFormatError(
-                    f"classification target must be 0 or 1, got {cells[-1]!r}",
-                    line_number=number,
-                )
-            target: int | float = int(label)
-        else:
-            try:
-                target = float(cells[-1])
-            except ValueError as exc:
-                raise DataFormatError(str(exc), line_number=number) from None
-        if not all(map(math.isfinite, features + (target,))):
+            if cells[-1].strip() not in ("0", "1"):
+                message = f"classification target must be 0 or 1, got {cells[-1]!r}"
+                raise DataFormatError(message, line_number=number)
+            row.append(float(cells[-1]))
+        if not all(map(math.isfinite, row)):
             raise DataFormatError(f"non-finite value in {line!r}", line_number=number)
-        samples.append(Sample(features, target))
-    if not samples:
+        values += row
+    if not values:
         raise DataFormatError("no data rows", line_number=1)
-    return Dataset(tuple(samples), kind, generator, seed)
+    table = np.array(values).reshape(-1, width)
+    return Dataset._of(table[:, :-1].copy(), table[:, -1].copy(), kind, generator, seed)

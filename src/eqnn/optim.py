@@ -30,8 +30,11 @@ gives the loss at ``w`` (``Objective.value_and_grad``).
 
 Every run returns a ``TrainTrace``: one incumbent loss per iteration
 (COBYLA: best-so-far at each trust-region step; SPSA/AQGD: loss at the
-updated weights), the final weights, and the number of evaluations, each
-one weight row walked over the dataset.  An AQGD step takes the loss at
+updated weights), the final weights, the loss at those weights, and the
+number of evaluations, each one weight row walked over the dataset.
+COBYLA's final loss is scipy's ``result.fun``, which may undercut the
+last recorded incumbent: evaluations after the last trust-region step
+can still improve the best point.  An AQGD step takes the loss at
 ``w_{k+1}`` from the base row of the gradient at ``w_{k+1}``, so a run
 of K steps costs (2m+1)·K evaluations for its K gradients plus one plain
 loss at the last iterate.
@@ -115,14 +118,11 @@ class TrainTrace:
     losses: np.ndarray
     final_weights: np.ndarray
     evaluations: int
+    final_loss: float  # the objective at ``final_weights``, bit for bit
 
     @property
     def iterations(self) -> int:
         return len(self.losses)
-
-    @property
-    def final_loss(self) -> float:
-        return float(self.losses[-1])
 
 
 def _checked_loss(value, w: np.ndarray) -> float:
@@ -194,7 +194,7 @@ def _minimize_cobyla(fun: _Counted, w0: np.ndarray, config: OptimizerConfig) -> 
         },
     )
     losses = np.array((incumbents or [fun.best])[: config.max_iters])
-    return TrainTrace(losses, np.asarray(result.x, dtype=float), fun.calls)
+    return TrainTrace(losses, np.asarray(result.x, dtype=float), fun.calls, float(result.fun))
 
 
 def _minimize_spsa(fun: _Counted, w0: np.ndarray, config: OptimizerConfig) -> TrainTrace:
@@ -222,7 +222,7 @@ def _minimize_spsa(fun: _Counted, w0: np.ndarray, config: OptimizerConfig) -> Tr
         gradient_estimate = diff / (2.0 * c_k) * delta  # 1/delta_i == delta_i
         w = w - a_k * gradient_estimate
         losses.append(fun(w))
-    return TrainTrace(np.array(losses), w, fun.calls)
+    return TrainTrace(np.array(losses), w, fun.calls, losses[-1])
 
 
 def _minimize_aqgd(
@@ -249,7 +249,7 @@ def _minimize_aqgd(
             losses.append(_checked_loss(loss, w))
     # Each analytic gradient walks one base row plus two shifted rows per weight.
     evaluations = fun.calls + (2 * objective.dim + 1) * config.max_iters
-    return TrainTrace(np.array(losses), w, evaluations)
+    return TrainTrace(np.array(losses), w, evaluations, losses[-1])
 
 
 # --------------------------------------------------------------------------

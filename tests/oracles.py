@@ -4,12 +4,16 @@ The simulator oracles are built from explicit 2x2 / 4x4 matrices and
 Kronecker products only — no reuse of the package's gate kernels — so
 agreement between the two routes is meaningful.  The loss and gradient
 oracles write each loss formula and slope out themselves and reach the
-package only through its public predictions.
+package only through its public predictions.  ``load_csv_by_lines`` is
+the reference CSV reader: one ``Sample`` per line, parsed and checked in
+file order, built into a ``Dataset`` through its ``Sample`` constructor.
 
 Amplitude index convention (little-endian, matching the package): bit q
 of the index is qubit q, so ``np.kron(A, B)`` applies ``A`` to the
 highest qubit and ``B`` to the lowest.
 """
+
+import math
 
 import numpy as np
 
@@ -216,3 +220,80 @@ def shift_terms(model, w, dataset, kind: str) -> np.ndarray:
         else:
             terms[j] = np.where(f < 1e-12, 0.0, -df / np.maximum(f, 1e-12))
     return terms
+
+
+def _csv_header(line: str) -> tuple[str, int, str]:
+    from eqnn.data import KINDS
+    from eqnn.errors import DataFormatError
+
+    fields = dict(token.split("=", 1) for token in line[1:].split() if "=" in token)
+    missing = {"generator", "seed", "kind"} - fields.keys()
+    if missing:
+        raise DataFormatError(f"header missing {sorted(missing)}", line_number=1)
+    if fields["kind"] not in KINDS:
+        raise DataFormatError(f"unknown kind {fields['kind']!r}", line_number=1)
+    try:
+        seed = int(fields["seed"])
+    except ValueError:
+        raise DataFormatError(f"bad seed {fields['seed']!r}", line_number=1) from None
+    return fields["generator"], seed, fields["kind"]
+
+
+def load_csv_by_lines(path):
+    """The reference reader of the ``save_csv`` format, one ``Sample`` per line.
+
+    Blank lines are skipped.  Each data line, in file order, must have the
+    first data line's width (at least 2); its features, and a regression
+    target, must parse with ``float()``; a class label must read ``0`` or
+    ``1`` once stripped; every value must be finite.  The first line that
+    breaks a rule raises ``DataFormatError`` with its line number.
+    """
+    from eqnn.data import Dataset, Sample
+    from eqnn.errors import DataFormatError
+
+    with open(path, "r", newline="") as fh:
+        raw_lines = fh.read().split("\n")
+    if not raw_lines or not raw_lines[0].startswith("#"):
+        raise DataFormatError(
+            "expected '# generator=... seed=... kind=...' header", line_number=1
+        )
+    generator, seed, kind = _csv_header(raw_lines[0])
+    samples = []
+    width = None
+    for number, line in enumerate(raw_lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+            if width < 2:
+                raise DataFormatError(
+                    "need at least one feature and a target", line_number=number
+                )
+        elif len(cells) != width:
+            raise DataFormatError(
+                f"expected {width} columns, got {len(cells)}", line_number=number
+            )
+        try:
+            features = tuple(float(c) for c in cells[:-1])
+        except ValueError as exc:
+            raise DataFormatError(str(exc), line_number=number) from None
+        if kind == "classification":
+            label = cells[-1].strip()
+            if label not in ("0", "1"):
+                raise DataFormatError(
+                    f"classification target must be 0 or 1, got {cells[-1]!r}",
+                    line_number=number,
+                )
+            target = int(label)
+        else:
+            try:
+                target = float(cells[-1])
+            except ValueError as exc:
+                raise DataFormatError(str(exc), line_number=number) from None
+        if not all(map(math.isfinite, features + (target,))):
+            raise DataFormatError(f"non-finite value in {line!r}", line_number=number)
+        samples.append(Sample(features, target))
+    if not samples:
+        raise DataFormatError("no data rows", line_number=1)
+    return Dataset(tuple(samples), kind, generator, seed)

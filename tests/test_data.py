@@ -1,11 +1,13 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from eqnn.data import (
     Dataset,
     Sample,
@@ -33,6 +35,8 @@ def test_dataset_validates_construction():
         Dataset((Sample((0.1,), 0.2), Sample((0.1, 0.2), 0.2)), "regression", "toy", 0)
     with pytest.raises(UsageError):
         Dataset((Sample((0.1, 0.2), 2),), "classification", "toy", 0)
+    with pytest.raises(UsageError):
+        Dataset((Sample((0.1, 0.2), "1"),), "classification", "toy", 0)
 
 
 def test_dataset_arrays_match_samples():
@@ -43,6 +47,32 @@ def test_dataset_arrays_match_samples():
     np.testing.assert_array_equal(ds.targets_array(), [0, 1])
     assert len(ds) == 2
     assert ds.n_features == 2
+
+
+def test_every_producer_holds_read_only_contiguous_float_columns(tmp_path):
+    two_class = gen_two_class_usage(per_class=6, seed=2)
+    save_csv(two_class, tmp_path / "two.csv")
+    built = Dataset((Sample((1.0, 2.0), 0), Sample((3.0, 4.0), 1)), "classification", "toy", 0)
+    for ds in (
+        gen_linear(5, seed=1), gen_sigmoid(5, seed=1), gen_tanh(5, seed=1), two_class,
+        normalize_minmax(built), *split_dataset(two_class, 0.25, seed=2),
+        load_csv(tmp_path / "two.csv"), built, Dataset((), "regression", "toy", 0),
+    ):
+        assert ds.features.shape == (len(ds), ds.n_features) and ds.targets.shape == (len(ds),)
+        for column in (ds.features, ds.targets):
+            assert column.dtype == np.float64 and column.flags.c_contiguous
+            with pytest.raises(ValueError):
+                column[...] = 0.0
+
+
+def test_samples_view_gives_int_labels_and_round_trips():
+    ds = gen_two_class_usage(per_class=3, seed=5)
+    assert all(type(s.target) is int for s in ds.samples)
+    assert Dataset(ds.samples, ds.kind, ds.generator, ds.seed) == ds
+    regression = gen_tanh(4, seed=5)
+    assert all(type(s.target) is float for s in regression.samples)
+    assert Dataset(regression.samples, "regression", "tanh", 5) == regression
+    assert regression != Dataset(regression.samples, "regression", "tanh", 6)
 
 
 # --------------------------------------------------------------------------
@@ -166,6 +196,14 @@ def test_normalize_minmax_rejects_constant_feature():
     assert "0" in str(info.value)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_normalize_minmax_refuses_a_non_finite_feature_naming_its_row(bad):
+    rows = [(0.0, 1.0), (0.5, 0.2), (1.0, bad), (bad, 0.3)]
+    ds = Dataset(tuple(Sample(x, 0.0) for x in rows), "regression", "toy", 0)
+    with pytest.raises(UsageError, match="^dataset row 2 has a non-finite feature$"):
+        normalize_minmax(ds)
+
+
 def test_split_sizes_disjointness_and_determinism():
     ds = gen_two_class_usage(per_class=50, seed=8)
     train, test = split_dataset(ds, 0.2, seed=8)
@@ -178,6 +216,21 @@ def test_split_sizes_disjointness_and_determinism():
     assert train == again_train and test == again_test
     other_train, _ = split_dataset(ds, 0.2, seed=9)
     assert train != other_train
+
+
+def test_generating_and_splitting_10k_rows_allocates_little_beyond_the_columns():
+    # Columns: raw and normalized features (2 x 160 kB), labels (80 kB) and
+    # the split's copies (240 kB), plus the draws and the permutation.  A
+    # frozen Sample per row, holding a tuple and boxed floats, took 4.5 MB.
+    gen_two_class_usage(10, seed=1)
+    tracemalloc.start()
+    try:
+        train, test = split_dataset(gen_two_class_usage(5000, seed=3), 0.2, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(train), len(test)) == (8000, 2000)
+    assert peak < 1.6e6, peak
 
 
 def test_split_rejects_degenerate_fractions():
@@ -325,3 +378,66 @@ def test_csv_round_trips_finite_values_and_rejects_non_finite(tmp_path_factory, 
     with pytest.raises(DataFormatError) as info:
         load_csv(path)
     assert info.value.line_number == row + 2
+
+
+FEATURE_TEXTS = st.one_of(
+    FINITE.map(repr),
+    st.sampled_from(["1_000", " 0.5", "0.5 ", "Infinity", "1e400", "nan", "inf", "-inf",
+                     "+inf", "NaN", "abc", "", "1.5.2"]),
+)
+LABEL_TEXTS = st.sampled_from(["0", "1", "2", "0.5", "1.0", " 1", "1 ", "01", "-0", "nan", ""])
+
+
+@st.composite
+def csv_texts(draw):
+    """A file in the ``save_csv`` layout, mostly valid, with up to three faults
+    drawn from: an odd feature or label text, a ragged row, blank lines, CRLF
+    endings."""
+    kind = draw(st.sampled_from(["regression", "classification"]))
+    width = draw(st.integers(1, 3))
+    labels = st.sampled_from(["0", "1"]) if kind == "classification" else FINITE.map(repr)
+    rows = [
+        [repr(v) for v in draw(st.lists(FINITE, min_size=width, max_size=width))]
+        + [draw(labels)]
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        fault = draw(st.sampled_from(["feature", "label", "short", "long"]))
+        if fault == "feature":
+            row[draw(st.integers(0, max(len(row) - 2, 0)))] = draw(FEATURE_TEXTS)
+        elif fault == "label":
+            row[-1] = draw(LABEL_TEXTS)
+        elif fault == "short" and len(row) > 1:
+            del row[0]
+        elif fault == "long":
+            row.append(draw(FEATURE_TEXTS))
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    header = f"# generator=toy seed=0 kind={kind}"
+    return end.join([header, *lines]) + draw(st.sampled_from(["", end]))
+
+
+def _read(reader, path):
+    try:
+        return reader(path)
+    except DataFormatError as exc:
+        return exc.line_number, str(exc)
+
+
+@settings(max_examples=300)
+@given(text=csv_texts())
+def test_load_csv_matches_the_line_by_line_reference(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "reference.csv"
+    path.write_bytes(text.encode())
+    got, want = _read(load_csv, path), _read(oracles.load_csv_by_lines, path)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, Dataset) and got == want
+    for ours, theirs in ((got.features, want.features), (got.targets, want.targets)):
+        assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+        assert ours.flags.c_contiguous and not ours.flags.writeable
+    assert got.samples == want.samples

@@ -257,6 +257,28 @@ def test_cobyla_is_deterministic():
     assert a.evaluations == b.evaluations
 
 
+@pytest.mark.parametrize(
+    "kind, name, iters",
+    [("cobyla", "eqnn1", 20), ("cobyla", "simplified", 15), ("spsa", "eqnn1", 8),
+     ("spsa", "simplified", 8), ("aqgd", "eqnn1", 4), ("aqgd", "simplified", 4)],
+)
+def test_final_loss_is_the_objective_at_the_final_weights_bit_for_bit(kind, name, iters):
+    if name == "simplified":
+        model, dataset, loss = simplified_model(), gen_tanh(40, seed=3), SQUARED_ERROR
+    else:
+        model, dataset, loss = build_model(name), gen_two_class_usage(10, seed=3), CROSS_ENTROPY
+    objective = make_objective(model, dataset, loss)
+    w0 = initial_weights(model.n_weights, seed=3)
+    trace = minimize(objective, w0, OptimizerConfig(kind=kind, max_iters=iters, seed=3))
+    assert trace.final_loss == objective.fun(trace.final_weights)
+    if (kind, name) == ("cobyla", "eqnn1"):
+        # Evaluations after the last trust-region step improved the best
+        # point, so the last recorded incumbent is not the final loss.
+        assert trace.final_loss < trace.losses[-1]
+    else:
+        assert trace.final_loss == trace.losses[-1]
+
+
 # --------------------------------------------------------------------------
 # SPSA
 
