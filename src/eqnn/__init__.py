@@ -53,6 +53,7 @@ from .qnn import (
     Regression,
     accuracy,
     batch_loss,
+    batch_losses,
     build_model,
     decide,
     forward,

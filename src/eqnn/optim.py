@@ -22,11 +22,14 @@ only ``kind``, ``max_iters`` and ``seed`` vary between runs.
 dataset and loss validated once, the ``(2**n, N)`` encoded states, the
 one workspace that the encode and every later walk write into, the
 targets and the head's readout.
-It hands that problem to ``qnn.batch_loss`` and
+It hands that problem to ``qnn.batch_loss``, ``qnn.batch_losses`` and
 ``parameter_shift_gradient`` through their private keyword ``_problem``;
 without it each builds one for that call alone.  A gradient's 2m+1
 evaluations run as one batched walk (``qnn``), whose base row ``w`` also
-gives the loss at ``w`` (``Objective.value_and_grad``).
+gives the loss at ``w`` (``Objective.value_and_grad``).  SPSA hands its
+20 calibration pairs to ``Objective.values`` as one 40-row stack, and
+each step's iterate and two probes as one 3-row stack; each row is
+counted and checked in the order of one evaluation at a time.
 
 Every run returns a ``TrainTrace``: one incumbent loss per iteration
 (COBYLA: best-so-far at each trust-region step; SPSA/AQGD: loss at the
@@ -37,7 +40,8 @@ last recorded incumbent: evaluations after the last trust-region step
 can still improve the best point.  An AQGD step takes the loss at
 ``w_{k+1}`` from the base row of the gradient at ``w_{k+1}``, so a run
 of K steps costs (2m+1)·K evaluations for its K gradients plus one plain
-loss at the last iterate.
+loss at the last iterate.  A run of K SPSA steps costs 40 + 3K: the
+calibration rows, two probes and one iterate per step.
 
 A non-finite objective value aborts the run immediately with the
 offending weights attached to the exception (``_checked_loss``).
@@ -88,11 +92,14 @@ class Objective:
 
     ``value_and_grad(w)`` returns ``(fun(w), gradient at w)`` from one
     evaluation, as the parameter-shift gradient's base row gives both.
+    ``values(W)`` returns ``fun`` at each row of a ``(B, m)`` stack, bit
+    for bit, from one evaluation; without it a stack runs row by row.
     """
 
     fun: Callable[[np.ndarray], float]
     dim: int
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]] | None = None
+    values: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -134,16 +141,29 @@ def _checked_loss(value, w: np.ndarray) -> float:
 
 
 class _Counted:
-    """Wrap an objective: count calls, track the best value, refuse non-finite ones."""
+    """Wrap an objective: count evaluated rows, track the best value, refuse non-finite ones."""
 
-    def __init__(self, fun):
-        self._fun = fun
+    def __init__(self, fun, values=None):
+        self._fun, self._values = fun, values
         self.calls = 0
         self.best = math.inf
 
     def __call__(self, w: np.ndarray) -> float:
+        return self._count(self._fun(w), w)
+
+    def rows(self, W: np.ndarray) -> list[float]:
+        """``fun`` at each row of ``W``, counted and checked in row order.
+
+        One call of the stacked ``values`` if the objective has it, and
+        otherwise one call of ``fun`` per row, each checked before the next.
+        """
+        if self._values is None:
+            return [self(w) for w in W]
+        return [self._count(value, w) for value, w in zip(self._values(W), W)]
+
+    def _count(self, value, w: np.ndarray) -> float:
         self.calls += 1
-        value = _checked_loss(self._fun(w), w)
+        value = _checked_loss(value, w)
         self.best = min(self.best, value)
         return value
 
@@ -161,7 +181,7 @@ def minimize(objective: Objective, w0, config: OptimizerConfig) -> TrainTrace:
         raise UsageError(
             f"objective has dimension {objective.dim}, got w0 of shape {w0.shape}"
         )
-    fun = _Counted(objective.fun)
+    fun = _Counted(objective.fun, objective.values)
     if config.kind == COBYLA:
         return _minimize_cobyla(fun, w0, config)
     if config.kind == SPSA:
@@ -198,17 +218,24 @@ def _minimize_cobyla(fun: _Counted, w0: np.ndarray, config: OptimizerConfig) -> 
 
 
 def _minimize_spsa(fun: _Counted, w0: np.ndarray, config: OptimizerConfig) -> TrainTrace:
+    """SPSA from ``w0``, recording the loss at each new iterate.
+
+    The calibration pairs are one 40-row stack.  Step k's stack is the
+    iterate ``w_k``, whose loss step k-1 records, and its two probes
+    ``w_k +- c_k delta_k``; the loss at ``w0`` is neither walked nor
+    recorded, and the last iterate takes one plain evaluation.  Rows are
+    counted and checked in the order of one evaluation at a time, and the
+    perturbations are drawn in that order too.
+    """
     rng = np.random.default_rng(config.seed)
     m = len(w0)
 
     def rademacher() -> np.ndarray:
         return rng.integers(0, 2, size=m) * 2.0 - 1.0
 
-    slopes = []
-    for _ in range(SPSA_CALIBRATION_SAMPLES):
-        delta = rademacher()
-        diff = fun(w0 + SPSA_C * delta) - fun(w0 - SPSA_C * delta)
-        slopes.append(abs(diff) / (2.0 * SPSA_C))
+    deltas = [rademacher() for _ in range(SPSA_CALIBRATION_SAMPLES)]
+    probes = fun.rows(np.array([w for d in deltas for w in (w0 + SPSA_C * d, w0 - SPSA_C * d)]))
+    slopes = [abs(plus - minus) / (2.0 * SPSA_C) for plus, minus in zip(probes[::2], probes[1::2])]
     mean_slope = max(float(np.mean(slopes)), 1e-10)
     a = SPSA_TARGET_STEP / mean_slope * (SPSA_STABILITY + 1.0) ** SPSA_ALPHA
 
@@ -218,10 +245,12 @@ def _minimize_spsa(fun: _Counted, w0: np.ndarray, config: OptimizerConfig) -> Tr
         a_k = a / (k + 1 + SPSA_STABILITY) ** SPSA_ALPHA
         c_k = SPSA_C / (k + 1) ** SPSA_GAMMA
         delta = rademacher()
-        diff = fun(w + c_k * delta) - fun(w - c_k * delta)
-        gradient_estimate = diff / (2.0 * c_k) * delta  # 1/delta_i == delta_i
+        stack = ([w] if k else []) + [w + c_k * delta, w - c_k * delta]
+        *loss, plus, minus = fun.rows(np.array(stack))
+        losses += loss
+        gradient_estimate = (plus - minus) / (2.0 * c_k) * delta  # 1/delta_i == delta_i
         w = w - a_k * gradient_estimate
-        losses.append(fun(w))
+    losses.append(fun(w))
     return TrainTrace(np.array(losses), w, fun.calls, losses[-1])
 
 
@@ -314,7 +343,8 @@ def make_objective(model: qnn.QnnModel, dataset, kind: str) -> Objective:
 
     Every evaluation walks from that problem and writes into its one
     workspace, which its first gradient grows to fit the 2m+1 weight rows.
-    ``value_and_grad`` is one such gradient, with the loss of its base row.
+    ``value_and_grad`` is one such gradient, with the loss of its base row,
+    and ``values`` one walk of a stack of weight rows (``qnn.batch_losses``).
     """
     problem = qnn._Problem(model, dataset, kind)
     return Objective(
@@ -323,4 +353,5 @@ def make_objective(model: qnn.QnnModel, dataset, kind: str) -> Objective:
         value_and_grad=lambda w: parameter_shift_gradient(
             model, w, dataset, kind, _problem=problem, _with_loss=True
         ),
+        values=lambda W: qnn.batch_losses(model, W, dataset, kind, _problem=problem),
     )

@@ -28,20 +28,26 @@ output.  Only a training problem (``_Problem``: one model, dataset and
 loss kind) caches the weight-free feature map's states (``_encode``, a
 ``(2**n, N)`` state in the whole circuit's dtype), because every loss
 and gradient walks that prefix again.  Each of them walks the
-variational circuit from those states under a ``(B, m)`` batch of weight
-rows, one per loss and the 2m+1 rows ``w``, ``w +- pi/2 e_j`` per
-gradient, walking ``(2**n, B, rows)``; one pass squares each block into
-the spare walk buffer, amplitude-last, for the head's readout.  No walk
-allocates a block-sized array per gate: the gates write in turn into the
-two walk buffers of a ``_Workspace`` (two blocks, one tile and two
-planes: two buffers, and RY's scratch of one tile and its cos and sin
-planes for per-row angles, see ``statevector.kernel_ry``), which grows
-to the largest walk it is given.  Each ``simulate`` or prediction call owns
-one workspace; a training problem is validated, encoded and given its
-readout and its workspace once.  No returned array is a view into a
-workspace.  A batch row is identical to one-at-a-time simulation, every
-fitted value to the public prediction, and a wide register needs no
-``2**n x 2**n`` matrix.
+variational circuit from those states under a ``(B, m)`` stack of weight
+rows: one per loss, the 2m+1 rows ``w``, ``w +- pi/2 e_j`` per gradient,
+and SPSA's probes with their iterate (``batch_losses``).  A block walks
+``(2**n, B', N')``: B' whole weight rows over all N data rows while one
+weight row's states fit in a block, else one weight row over as many
+data rows as fit.  A row walks only from where its angles leave row 0's
+(``_forks``, ``_legs``): a row shifted in a later layer of the ansatz
+starts from a copy of row 0's state there, and one pass squares each
+walked block into the spare walk buffer, amplitude-last, for the head's
+readout.  No walk allocates a block-sized array per gate: the gates
+write in turn into the two walk buffers of a ``_Workspace`` (two
+blocks, one tile and two planes: two buffers, and RY's scratch of one
+tile and its cos and sin planes for per-row angles, see
+``statevector.kernel_ry``), which grows to the largest walk it is given;
+a forked walk adds one snapshot block for row 0's copied state.  Each
+``simulate`` or prediction call owns one workspace; a training problem
+is validated, encoded and given its readout and its workspace once.  No
+returned array is a view into a workspace.  A batch row is identical to
+one-at-a-time simulation, every fitted value, forked or not, to the
+public prediction, and a wide register needs no ``2**n x 2**n`` matrix.
 
 A walk hands each run of consecutive CNOTs, such as a ``RealAmplitudes``
 chain, to one ``kernel_cnot`` call: one gather of the whole run, at about
@@ -56,7 +62,8 @@ walk rotates back before it returns.  At 2^20 float64 a 20-qubit RY
 layer falls from 63 to 36 ms, bit for bit the same (see ``_walk``).
 
 One loss core, ``_loss_and_slope``, holds each loss and its slope for
-``batch_loss`` and the shift-rule gradient alike; every class decision
+``batch_losses`` (and its one-row case ``batch_loss``) and the
+shift-rule gradient alike; every class decision
 goes through ``decide``.  Batch means use ``np.mean`` (pairwise
 summation) as the one documented reduction order.
 """
@@ -70,6 +77,7 @@ from functools import cached_property
 import numpy as np
 
 from .circuit import (
+    BoundGate,
     Circuit,
     Gate,
     Input,
@@ -201,11 +209,14 @@ class _Workspace:
     of one amplitude's batch for its per-row cos and sin (see
     ``statevector.kernel_ry``).  That is two blocks, one tile and two
     planes, as three arrays, so a walk's result keeps only its own
-    buffer alive.
+    buffer alive.  A forked walk (``_Problem.fitted``) also keeps one
+    snapshot block, a fourth array made on its first use: row 0's state
+    at a fork, which the walks from it read and never write.
     """
 
     def __init__(self):
         self._bytes = (np.empty(0, np.uint8),) * 3
+        self._snapshot = np.empty(0, np.uint8)
 
     def views(self, amps: np.ndarray) -> list[np.ndarray]:
         """The two walk buffers shaped like ``amps``, then RY's scratch, ``(k + 2, *batch)``."""
@@ -223,6 +234,15 @@ class _Workspace:
         """The walk buffer that does not hold ``amps``."""
         first, second, _ = self._bytes
         return second if np.may_share_memory(first, amps) else first
+
+    def snapshot(self, amps: np.ndarray) -> np.ndarray:
+        """A copy of ``amps`` in the snapshot block, which no walk writes."""
+        if self._snapshot.size < amps.nbytes:
+            self._snapshot = np.empty(0, np.uint8)  # release the smaller block first
+            self._snapshot = np.empty(amps.nbytes, np.uint8)
+        copy = _as(self._snapshot, amps.shape, amps.dtype)
+        np.copyto(copy, amps)
+        return copy
 
 
 # A one-qubit gate whose pair halves come in runs of fewer elements than
@@ -294,7 +314,8 @@ def _walk(gates, amps: np.ndarray, work: _Workspace) -> np.ndarray:
     by row ``b``'s angles.  Each run of consecutive CNOTs is one
     ``kernel_cnot`` call, a single gather.  Every gate, CNOT run and
     rotation writes the walk buffer of ``work`` that does not hold its
-    input, so the result is a view into one of the two.
+    input, so the result is a view into one of the two; a walk from such a
+    result goes on from its buffer.
 
     The walk keeps one bit rotation ``r``: logical qubit ``q`` sits at bit
     position ``(q + r) % n``, and each kernel gets the positions.  A
@@ -310,6 +331,8 @@ def _walk(gates, amps: np.ndarray, work: _Workspace) -> np.ndarray:
     the named models, never rotate (``_slow_positions``).
     """
     *buffers, scratch = work.views(amps)
+    if amps.flags.writeable:  # a walk's result goes on from its own buffer
+        amps = next((b for b in buffers if np.may_share_memory(amps, b)), amps)
     n = amps.shape[0].bit_length() - 1
     low, r = _slow_positions(amps), 0
     run = []  # the (control, target) positions of the CNOTs since the last other gate
@@ -432,6 +455,100 @@ def forward(model: QnnModel, x, w) -> Regression | ClassProbs:
 # Losses and metrics
 
 
+def _forks(gates, batch: int):
+    """Where each of the ``batch`` weight rows of ``gates`` leaves row 0's walk.
+
+    Returns ``(starts, leaving)``: each row's start, and for each gate the
+    set of rows whose angle there has other bits than row 0's.  A row's
+    first such gate lies in a run of one-qubit gates, and the row starts at
+    the first gate of that run (any CNOTs before the first run belong to
+    it): before its start a row's walk is row 0's, gate for gate, bit for
+    bit.  A row whose every angle is row 0's starts at ``len(gates)``.
+    Returns ``None`` instead when no row starts after the first run and
+    before the end.
+    """
+    runs, run, single = [], 0, False  # the start of each gate's run
+    for k, g in enumerate(gates):
+        if g.name != "cnot":
+            single = True
+        elif single:
+            run = k + 1
+        runs.append(run)
+    varying = [k for k, g in enumerate(gates) if isinstance(g.angle, np.ndarray)]
+    if not any(runs[k] for k in varying):
+        return None
+    first = gates[varying[0]].angle.view(np.uint64)
+    if not runs[varying[0]] and (first[1:] != first[0]).all():
+        return None  # every row leaves row 0 at its first varying gate
+    bits = np.array([gates[k].angle for k in varying]).view(np.uint64)
+    gate, row = np.nonzero(bits != bits[:, :1])  # gate by gate
+    starts, leaving = [len(gates)] * batch, [set() for _ in gates]
+    for k, b in zip(np.take(varying, gate).tolist(), row.tolist()):
+        leaving[k].add(b)
+        starts[b] = min(starts[b], runs[k])
+    if not any(0 < start < len(gates) for start in starts):
+        return None
+    return starts, leaving
+
+
+def _legs(gates, batch: int, per_block: int) -> tuple[list, list]:
+    """The walks of ``batch`` weight rows of ``gates``, at most ``per_block`` rows each.
+
+    Returns ``(legs, same)``.  A leg is ``(gates, rows, on, snap, read)``:
+    walk ``rows`` through ``gates`` from row 0's state at the leg's start,
+    or on from the leg before (``on``); then copy row 0's state, the first
+    row's, into the snapshot (``snap``), or read ``rows`` out (``read``).
+    ``same`` are row 0 and the rows equal to it, which take its values.
+
+    When no row leaves row 0 after the first run (``_forks``), every row
+    walks from the start.  Otherwise the rows of each start walk from row
+    0's state there, and row 0 walks from start to start, in the last
+    block of the rows of each start if it has room, else on its own.  A
+    block that carries it on to the next start leaves a copy of its state
+    there, and goes on to the end.  A gate where none of a leg's rows
+    leaves row 0 keeps row 0's angle alone, which the kernel broadcasts:
+    the same products as a whole plane of it.
+    """
+    forks = _forks(gates, batch) if batch > 1 else None
+    if forks is None:
+        if batch <= per_block:
+            return [(gates, list(range(batch)), False, False, True)], [0]
+        legs = []
+        for i in range(0, batch, per_block):
+            rows = list(range(i, min(i + per_block, batch)))
+            leg = [BoundGate(g.name, g.qubits, g.angle[i : i + per_block])
+                   if isinstance(g.angle, np.ndarray) else g for g in gates]
+            legs.append((leg, rows, False, False, True))
+        return legs, [0]
+    starts, leaving = forks
+    alone = [BoundGate(g.name, g.qubits, g.angle[:1]) if isinstance(g.angle, np.ndarray) else g
+             for g in gates]
+
+    def take(lo: int, hi: int, rows: list) -> list:
+        """``gates[lo:hi]`` bound to ``rows``."""
+        return [
+            BoundGate(g.name, g.qubits, g.angle[rows])
+            if not leaving[k].isdisjoint(rows) else alone[k]
+            for k, g in enumerate(gates[lo:hi], lo)
+        ]
+
+    groups: dict[int, list] = {}
+    for b, start in enumerate(starts):
+        groups.setdefault(start, []).append(b)
+    bounds = sorted(set(groups) - {len(gates)} | {0, len(gates)})
+    legs = []
+    for start, stop in zip(bounds, bounds[1:]):
+        rows = groups.get(start, [])
+        chunks = [rows[i : i + per_block] for i in range(0, len(rows), per_block)]
+        carrier = [0] + (chunks.pop() if chunks and len(chunks[-1]) < per_block else [])
+        legs += [(take(start, len(gates), c), c, False, False, True) for c in chunks]
+        last = stop == len(gates)
+        legs.append((take(start, stop, carrier), carrier, False, not last, last))
+        if not last and len(carrier) > 1:  # the carrier goes on to the end
+            legs.append((take(stop, len(gates), carrier), carrier, True, False, True))
+    return legs, groups[len(gates)]
+
+
 class _Problem:
     """One model, dataset and loss kind, validated, encoded and read out once.
 
@@ -458,32 +575,62 @@ class _Problem:
         self.model, self.kind = model, kind
         self.work = _Workspace()
         self.psi = _encode(model, X, self.work)
+        # The data rows of a block, and the weight rows it holds over them.
+        self.blocks = _blocks(len(X), self.psi.itemsize * self.psi.shape[0])
+        self.stack = max(1, _BLOCK_BYTES // self.psi[:, self.blocks[0]].nbytes)
         signs = parity_signs(model.n_qubits)
         self.readout = signs if kind == SQUARED_ERROR else np.where(signs > 0, 1.0, 0.0)
-        self.label_one = self.targets == 1
+        # P(label) = P(class 0) * sign + offset: 1 - P for label 1, P + 0 for label 0.
+        label_one = self.targets == 1
+        self.flip = (np.where(label_one, -1.0, 1.0), np.where(label_one, 1.0, 0.0))
 
     def fitted(self, weights) -> np.ndarray:
         """Fitted values of every row under each row of the ``(B, m)`` ``weights``: ``(B, N)``.
 
-        The variational circuit walks ``(2**n, B, rows)``, B copies of each
-        block of ``psi``; one pass squares the block into the spare walk
-        buffer, amplitude-last, for the readout.  A fitted value is y' for
-        squared error and P(label) for cross-entropy, turned from P(class 0)
-        in place.
+        A block holds whole weight rows over all data rows while one weight
+        row's states fit in ``_BLOCK_BYTES``, and otherwise one weight row
+        over as many data rows as fit.  The weight rows walk the variational
+        circuit from those rows of ``psi`` in the legs of ``_legs``: each row
+        from where its angles leave row 0's, from a copy of row 0's state
+        there in the workspace's snapshot block.  Every walk does, gate for
+        gate, the arithmetic of the row's own one-row walk, so each value is
+        bit for bit that of the row walked alone.
+
+        One pass squares each walked block into the spare walk buffer,
+        amplitude-last, for the readout.  A fitted value is y' for squared
+        error and P(label) for cross-entropy, turned from P(class 0) in place.
         """
         gates = bind(self.model.variational, (), weights)
         (dim, n_rows), batch = self.psi.shape, len(weights)
+        legs, same = _legs(gates, batch, self.stack)
         fitted = np.empty((batch, n_rows))
-        for rows in _blocks(n_rows, batch * self.psi.itemsize * dim):
-            block = self.psi[:, None, rows]
-            amps = _walk(gates, np.broadcast_to(block, (dim, batch, block.shape[2])), self.work)
-            probs = _as(self.work.spare(amps), (batch, block.shape[2], dim), float)
-            squares = probs.transpose(2, 0, 1)  # amplitude-first, like amps
-            np.square(np.abs(amps, out=squares), out=squares)
-            fitted[:, rows] = probs @ self.readout
+        for rows in self.blocks:
+            state = self.psi[:, None, rows]  # row 0's state at the next leg's start
+            for leg_gates, which, on, snap, read in legs:
+                if not on:
+                    amps = np.broadcast_to(state, (dim, len(which)) + state.shape[2:])
+                amps = _walk(leg_gates, amps, self.work)
+                if snap:
+                    state = self.work.snapshot(amps[:, :1])
+                if read:
+                    self._read(amps, which, rows, fitted)
+        if len(same) > 1:  # row 0 itself and the rows equal to it
+            fitted[same] = fitted[0]
         if self.kind == CROSS_ENTROPY:
-            np.subtract(1.0, fitted, out=fitted, where=self.label_one)
+            # Unmasked and in place; a P(class 0) is a sum of squares, never
+            # -0, so adding 0 keeps every bit.
+            fitted *= self.flip[0]
+            fitted += self.flip[1]
         return fitted
+
+    def _read(self, amps, which, rows, fitted) -> None:
+        """Square ``amps`` into the spare walk buffer and read it out into ``fitted[which, rows]``."""
+        probs = _as(self.work.spare(amps), amps.shape[1:] + amps.shape[:1], float)
+        squares = probs.transpose(2, 0, 1)  # amplitude-first, like amps
+        if amps.dtype.kind == "c":
+            amps = np.abs(amps, out=squares)
+        np.square(amps, out=squares)  # of a real amplitude, the same bits as of its abs
+        fitted[which, rows] = probs @ self.readout
 
 
 def _loss_and_slope(fitted: np.ndarray, targets: np.ndarray, kind: str):
@@ -500,18 +647,38 @@ def _loss_and_slope(fitted: np.ndarray, targets: np.ndarray, kind: str):
     return -np.log(clamped), np.where(fitted < PROB_EPS, 0.0, -1.0 / clamped)
 
 
+def batch_losses(model: QnnModel, W, dataset, kind: str, *, _problem=None) -> np.ndarray:
+    """``batch_loss`` at each row of the ``(B, m)`` weight stack ``W``: shape ``(B,)``.
+
+    The stack walks in groups of as many weight rows as one block holds
+    (``_Problem.fitted``), so that its fitted values take no more memory
+    than one block's walk: at 8000 rows each weight row walks alone, as a
+    single loss does.  Each loss is bit for bit that of its row alone.  Refuses a non-finite weight, or any shape but
+    a stack of rows, first.  ``_problem`` is the caller's ``_Problem`` for
+    these arguments; without it one is built for this call.
+    """
+    W = np.asarray(W, dtype=float)
+    if W.ndim != 2:
+        raise UsageError(f"expected a stack of weight rows, got shape {W.shape}")
+    if not np.isfinite(W).all():
+        row, j = np.argwhere(~np.isfinite(W))[0]
+        raise UsageError(f"weight {j} of row {row} is not finite")
+    if _problem is None:
+        _problem = _Problem(model, dataset, kind)
+    return np.array([
+        np.mean(_loss_and_slope(f, _problem.targets, kind)[0])
+        for i in range(0, len(W), _problem.stack)
+        for f in _problem.fitted(W[i : i + _problem.stack])
+    ])
+
+
 def batch_loss(model: QnnModel, w, dataset, kind: str, *, _problem=None) -> float:
     """Arithmetic mean of per-sample losses over a dataset (see ``_loss_and_slope``).
 
-    Refuses a non-finite weight, or more than one row of them, first.
-    ``_problem`` is the caller's ``_Problem`` for these arguments; without
-    it one is built for this call.
+    The one-row case of ``batch_losses``.  Refuses a non-finite weight, or
+    more than one row of them, first.
     """
-    w = _weight_row(w)
-    if _problem is None:
-        _problem = _Problem(model, dataset, kind)
-    fitted = _problem.fitted(w[None])[0]
-    return float(np.mean(_loss_and_slope(fitted, _problem.targets, kind)[0]))
+    return float(batch_losses(model, _weight_row(w)[None], dataset, kind, _problem=_problem)[0])
 
 
 def decide(p0, p1):

@@ -4,7 +4,9 @@ The simulator oracles are built from explicit 2x2 / 4x4 matrices and
 Kronecker products only — no reuse of the package's gate kernels — so
 agreement between the two routes is meaningful.  The loss and gradient
 oracles write each loss formula and slope out themselves and reach the
-package only through its public predictions.  ``load_csv_by_lines`` is
+package only through its public predictions.  ``spsa_by_rows`` is SPSA
+one evaluation at a time, as the optimizer ran before it walked weight
+stacks.  ``load_csv_by_lines`` is
 the reference CSV reader: one ``Sample`` per line, parsed and checked in
 file order, built into a ``Dataset`` through its ``Sample`` constructor.
 
@@ -220,6 +222,59 @@ def shift_terms(model, w, dataset, kind: str) -> np.ndarray:
         else:
             terms[j] = np.where(f < 1e-12, 0.0, -df / np.maximum(f, 1e-12))
     return terms
+
+
+def spsa_by_rows(fun, w0, max_iters: int, seed: int):
+    """SPSA from ``w0`` with one call of ``fun`` per weight row, in Spall's order.
+
+    Twenty calibration pairs ``f(w0 + c delta) - f(w0 - c delta)`` set the
+    gain numerator; then each step evaluates ``w + c_k delta_k`` and
+    ``w - c_k delta_k``, updates ``w`` and evaluates the new iterate, whose
+    loss it records.  Each value is checked as it comes: a non-finite one
+    raises ``NonFiniteLossError`` naming its weights.  Returns ``(losses,
+    final weights, evaluations)``.
+    """
+    from eqnn.errors import NonFiniteLossError
+    from eqnn.optim import (
+        SPSA_ALPHA,
+        SPSA_C,
+        SPSA_CALIBRATION_SAMPLES,
+        SPSA_GAMMA,
+        SPSA_STABILITY,
+        SPSA_TARGET_STEP,
+    )
+
+    evaluations = 0
+
+    def f(w):
+        nonlocal evaluations
+        evaluations += 1
+        value = float(fun(w))
+        if not math.isfinite(value):
+            raise NonFiniteLossError(value, np.asarray(w, dtype=float).copy())
+        return value
+
+    rng = np.random.default_rng(seed)
+    w0 = np.asarray(w0, dtype=float)
+
+    def rademacher():
+        return rng.integers(0, 2, size=len(w0)) * 2.0 - 1.0
+
+    slopes = []
+    for _ in range(SPSA_CALIBRATION_SAMPLES):
+        delta = rademacher()
+        diff = f(w0 + SPSA_C * delta) - f(w0 - SPSA_C * delta)
+        slopes.append(abs(diff) / (2.0 * SPSA_C))
+    a = SPSA_TARGET_STEP / max(float(np.mean(slopes)), 1e-10) * (SPSA_STABILITY + 1.0) ** SPSA_ALPHA
+    w, losses = w0.copy(), []
+    for k in range(max_iters):
+        a_k = a / (k + 1 + SPSA_STABILITY) ** SPSA_ALPHA
+        c_k = SPSA_C / (k + 1) ** SPSA_GAMMA
+        delta = rademacher()
+        diff = f(w + c_k * delta) - f(w - c_k * delta)
+        w = w - a_k * (diff / (2.0 * c_k) * delta)
+        losses.append(f(w))
+    return np.array(losses), w, evaluations
 
 
 def _csv_header(line: str) -> tuple[str, int, str]:

@@ -7,7 +7,8 @@ modules, read-only, so that such a rename fails here first.  A walk that
 stopped calling ``statevector.kernel_cnot`` by that name would leave the
 layer ``MISSING`` too, so the calls that reach it are counted here, as
 are the AQGD calls that reach ``optim.parameter_shift_gradient``,
-``qnn.batch_loss`` and ``statevector.kernel_ry``.
+``qnn.batch_loss`` and ``statevector.kernel_ry``, and the SPSA calls that
+reach ``qnn.batch_losses``.
 """
 
 import importlib
@@ -123,8 +124,11 @@ def count_calls(monkeypatch, *layers) -> list:
 
 def test_an_aqgd_run_reaches_the_gradient_and_loss_layers(monkeypatch):
     # Three AQGD steps take three gradients, whose base rows give the losses
-    # at w1 and w2, and one plain loss at w3; each gradient walks every RY
-    # of the ansatz through ``kernel_ry``, one block of rows.
+    # at w1 and w2, and one plain loss at w3.  A gradient of eqnn1's two RY
+    # layers reaches ``kernel_ry`` six times: the base row and the four rows
+    # shifted in the first layer walk both layers together, leaving a copy
+    # of the base row's state after the first, and the base row and the
+    # four rows shifted in the second walk the second layer from that copy.
     calls = count_calls(
         monkeypatch,
         (optim, "parameter_shift_gradient"),
@@ -139,5 +143,18 @@ def test_an_aqgd_run_reaches_the_gradient_and_loss_layers(monkeypatch):
     assert calls.count("batch_loss") == 1
     calls.clear()
     objective.value_and_grad(w0)
-    rys = sum(g.name == "ry" for g in model.variational.gates)
-    assert calls == ["parameter_shift_gradient"] + ["kernel_ry"] * rys
+    assert sum(g.name == "ry" for g in model.variational.gates) == 4
+    assert calls == ["parameter_shift_gradient"] + ["kernel_ry"] * 6
+
+
+def test_an_spsa_run_reaches_the_stacked_loss_once_per_step(monkeypatch):
+    # One stack of the 40 calibration rows, one stack per step (its two
+    # probes, and from the second step on the iterate whose loss the step
+    # before records), and one plain loss at the last iterate.
+    calls = count_calls(monkeypatch, (qnn, "batch_loss"), (qnn, "batch_losses"))
+    model = build_model("eqnn1")
+    objective = make_objective(model, gen_two_class_usage(per_class=5, seed=2), CROSS_ENTROPY)
+    w0 = initial_weights(model.n_weights, seed=2)
+    trace = minimize(objective, w0, OptimizerConfig(kind="spsa", max_iters=4))
+    assert calls == ["batch_losses"] * (1 + 4) + ["batch_loss", "batch_losses"]
+    assert trace.evaluations == 40 + 3 * 4

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -324,6 +325,83 @@ def test_spsa_same_seed_bit_identical():
     np.testing.assert_array_equal(a.final_weights, b.final_weights)
     different = minimize(objective, w0, OptimizerConfig(kind="spsa", max_iters=30, seed=7))
     assert not np.array_equal(a.losses, different.losses)
+
+
+def spsa_problem(name, per_class=20):
+    """The objective and ``w0`` of an SPSA run on ``name`` (simplified: squared error)."""
+    if name == "simplified":
+        model, dataset, kind = simplified_model(), gen_tanh(2 * per_class, seed=9), SQUARED_ERROR
+    else:
+        model, kind = build_model(name), CROSS_ENTROPY
+        dataset = gen_two_class_usage(per_class, seed=9)
+    return make_objective(model, dataset, kind), initial_weights(model.n_weights, seed=9)
+
+
+@pytest.mark.parametrize("max_iters", [1, 5])
+@pytest.mark.parametrize("name, per_class", [
+    ("simplified", 20), ("eqnn1", 20), ("benchmark", 20), ("benchmark", 500),
+])
+def test_stacked_spsa_equals_the_row_by_row_oracle_bit_for_bit(name, per_class, max_iters):
+    # The calibration pairs are one 40-row stack and each step one stack
+    # of the iterate and its two probes, yet every loss, the final
+    # weights and the evaluation count are those of one row at a time.
+    # At 1000 benchmark rows a block holds four weight rows, so the
+    # calibration stack walks in ten groups.
+    objective, w0 = spsa_problem(name, per_class)
+    trace = minimize(objective, w0, OptimizerConfig(kind="spsa", max_iters=max_iters, seed=9))
+    losses, w, evaluations = oracles.spsa_by_rows(objective.fun, w0, max_iters, seed=9)
+    assert trace.losses.tobytes() == losses.tobytes()
+    assert trace.final_weights.tobytes() == w.tobytes()
+    assert trace.evaluations == evaluations == 2 * SPSA_CALIBRATION_SAMPLES + 3 * max_iters
+
+
+def nan_at(objective, index):
+    """``objective`` with a nan for the ``index``-th row it evaluates, one at a time or stacked."""
+    rows = itertools.count()
+
+    def marked(values):
+        return [math.nan if next(rows) == index else value for value in values]
+
+    return Objective(
+        fun=lambda w: marked([objective.fun(w)])[0],
+        dim=objective.dim,
+        values=None if objective.values is None else lambda W: np.array(marked(objective.values(W))),
+    )
+
+
+# Rows in evaluation order: 40 calibration rows, then w0+ and w0-, then
+# (w_k, w_k+, w_k-) for k = 1..4, then w5.
+@pytest.mark.parametrize("index, where", [
+    (7, "calibration"), (43, "w1+"), (44, "w1-"), (45, "w2"), (54, "w5"),
+])
+def test_stacked_spsa_names_the_weights_of_the_first_non_finite_row(index, where):
+    objective, w0 = spsa_problem("eqnn1")
+    with pytest.raises(NonFiniteLossError) as stacked:
+        minimize(nan_at(objective, index), w0, OptimizerConfig(kind="spsa", max_iters=5, seed=9))
+    with pytest.raises(NonFiniteLossError) as by_rows:
+        oracles.spsa_by_rows(nan_at(objective, index).fun, w0, 5, seed=9)
+    assert stacked.value.weights.tobytes() == by_rows.value.weights.tobytes()
+
+
+def test_spsa_on_an_objective_without_stacked_values_runs_row_by_row():
+    # A plain ``fun`` is called once per row, in the oracle's order.
+    fun, _ = quadratic([1.0, -0.5])
+    seen = []
+
+    def recorded(w):
+        seen.append(np.array(w))
+        return fun(w)
+
+    trace = minimize(Objective(fun=recorded, dim=2), [0.0, 0.0],
+                     OptimizerConfig(kind="spsa", max_iters=5, seed=4))
+    expected = []
+    losses, w, evaluations = oracles.spsa_by_rows(
+        lambda w: expected.append(np.array(w)) or fun(w), [0.0, 0.0], 5, seed=4
+    )
+    assert trace.losses.tobytes() == losses.tobytes()
+    assert trace.final_weights.tobytes() == w.tobytes()
+    assert trace.evaluations == evaluations == len(seen)
+    assert np.array(seen).tobytes() == np.array(expected).tobytes()
 
 
 # --------------------------------------------------------------------------

@@ -613,6 +613,74 @@ def test_contracted_values_equal_public_predictions_bit_for_bit(problem, data):
         np.testing.assert_array_equal(row, want)
 
 
+@st.composite
+def forked_stacks(draw, w):
+    """``w`` and up to six rows that keep a prefix of it: shifts, new suffixes, copies, duplicates."""
+    stack = [w]
+    for _ in range(draw(st.integers(0, 6))):
+        row = draw(st.sampled_from(stack)).copy()  # a copy of w or a duplicate of a row
+        if len(w) and draw(st.booleans()):
+            j = draw(st.integers(0, len(w) - 1))
+            if draw(st.booleans()):
+                row = w.copy()
+                row[j] += draw(st.sampled_from([math.pi / 2, -math.pi / 2]))
+            else:
+                row[j:] = draw(strategies.weights(len(w) - j))
+        stack.append(row)
+    return np.array(stack).reshape(len(stack), len(w))
+
+
+def assert_rows_walk_as_alone(problem, W):
+    fitted = problem.fitted(W)
+    for row, weights in zip(fitted, W):
+        assert row.tobytes() == problem.fitted(weights[None])[0].tobytes()
+
+
+@settings(max_examples=60)
+@given(problem=strategies.problems(strategies.ANY_MODELS), data=st.data())
+def test_forked_rows_equal_their_own_walks_bit_for_bit(problem, data):
+    # Rows that keep a prefix of row 0 walk from a copy of row 0's state
+    # where they leave it, and a row equal to row 0 takes its values; each
+    # equals its own one-row walk.  Random models put phase gates on either
+    # side and may start the variational circuit with a CNOT.
+    model, kind, w, dataset = problem
+    assert_rows_walk_as_alone(qnn._Problem(model, dataset, kind), data.draw(forked_stacks(w)))
+
+
+@settings(max_examples=30)
+@given(n=st.integers(3, 6), reps=st.integers(1, 3), data=st.data())
+def test_forked_rows_of_rotating_walks_equal_their_own_walks_bit_for_bit(n, reps, data):
+    # RealAmplitudes on 3-6 qubits with the fast-run threshold forced low,
+    # so that the legs of a forked walk, and every one-row walk, rotate the
+    # register and back.
+    feature_map = Circuit(n, tuple(Gate("ry", (q,), (q + 1) * Input(0)) for q in range(n)))
+    model = QnnModel("wide", feature_map, build_real_amplitudes(n, reps), PARITY)
+    X = data.draw(strategies.rows(data.draw(st.integers(1, 3)), 1))
+    dataset = Dataset(tuple(Sample(tuple(x), i % 2) for i, x in enumerate(X.tolist())),
+                      "classification", "drawn", 0)
+    W = data.draw(forked_stacks(data.draw(strategies.weights(model.n_weights))))
+    rotations, rotate = [], qnn._rotate
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qnn, "_FAST_RUN", 1 << (n - 1))
+        patch.setattr(qnn, "_rotate", lambda *args: rotations.append(args[1]) or rotate(*args))
+        assert_rows_walk_as_alone(qnn._Problem(model, dataset, CROSS_ENTROPY), W)
+    assert rotations
+
+
+@pytest.mark.parametrize("name", ["eqnn3", "benchmark"])
+def test_forked_rows_of_a_block_wide_weight_row_equal_their_own_walks(name):
+    # At 8000 rows one eqnn3 weight row fills a block and one benchmark
+    # (complex) weight row fills two, so each walk holds one weight row.
+    model = build_model(name)
+    problem = qnn._Problem(model, gen_two_class_usage(per_class=4000, seed=7), CROSS_ENTROPY)
+    w = initial_weights(model.n_weights, seed=7)
+    shifts = math.pi / 2 * np.eye(len(w))
+    suffix = w.copy()
+    suffix[5:] = 0.25
+    W = np.vstack([w, w + shifts[2], w, suffix, w - shifts[7], suffix, w + shifts[0]])
+    assert_rows_walk_as_alone(problem, W)
+
+
 def test_wide_register_loss_stays_within_a_few_states():
     # 14 qubits and 3 rows: the walk starts from the 3 encoded states, never
     # from a 2**14 x 2**14 identity (2**28 amplitudes, 4 GiB of complex128).
