@@ -16,7 +16,7 @@ only ``kind``, ``max_iters`` and ``seed`` vary between runs.
   perturbation-pair slopes at w0 sets ``a`` so the expected first step
   is about ``SPSA_TARGET_STEP``.
 * ``aqgd`` — gradient descent, step ``LEARNING_RATE``, on the shift-rule
-  gradient, whose loss slopes come from ``qnn``'s one loss core.
+  gradient, whose loss slopes come from ``qnn._slope``.
 
 ``make_objective`` builds one ``qnn._Problem`` per objective: the model,
 dataset and loss validated once, the ``(2**n, N)`` encoded states, the
@@ -316,26 +316,32 @@ def parameter_shift_gradient(
     """Exact dL/dw via two +-pi/2-shifted evaluations per weight.
 
     The derivative of each fitted value, (f(w_j + pi/2) - f(w_j - pi/2)) / 2,
-    times the loss's slope at f(w) from ``qnn._loss_and_slope``, averaged.
+    times the loss's slope at f(w) from ``qnn._slope``, averaged.
     The stack ``w``, ``w + pi/2 e_j``, ``w - pi/2 e_j`` is one walk.
-    ``_problem`` is the caller's ``qnn._Problem`` for these arguments;
-    without it one is built for this call, after the model and ``w`` pass.
+    ``_problem`` is the caller's ``qnn._Problem`` for these arguments,
+    whose model passes the shift rule's precondition once, on its first
+    gradient; without it one is built for this call, after the model and
+    ``w`` pass.
     With ``_with_loss``, returns ``(loss at w, gradient)``: the base row's
     loss, bit for bit ``qnn.batch_loss`` at ``w``.
     """
-    _check_shift_precondition(model)
+    if _problem is None or not _problem.shift_checked:
+        _check_shift_precondition(model)
     w = qnn._weight_row(w)
     if _problem is None:
         _problem = qnn._Problem(model, dataset, kind)
+    _problem.shift_checked = True
     shifts = math.pi / 2.0 * np.eye(len(w))
     fitted = _problem.fitted(np.vstack([w, w + shifts, w - shifts]))
-    losses, slope = qnn._loss_and_slope(fitted[0], _problem.targets, kind)
+    slope = qnn._slope(fitted[0], _problem.targets, kind)
     plus, minus = fitted[1 : len(w) + 1], fitted[len(w) + 1 :]
     terms = np.subtract(plus, minus, out=plus)  # (f+ - f-) / 2 * slope, over the f+ rows
     terms /= 2.0
     terms *= slope
     gradient = np.mean(terms, axis=1)
-    return (float(np.mean(losses)), gradient) if _with_loss else gradient
+    if not _with_loss:
+        return gradient
+    return float(np.mean(qnn._loss(fitted[0], _problem.targets, kind))), gradient
 
 
 def make_objective(model: qnn.QnnModel, dataset, kind: str) -> Objective:

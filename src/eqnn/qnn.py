@@ -19,35 +19,42 @@ Every evaluation goes through one gate walk, ``_walk``, over gates that
 start to end: float64, or complex if a walked gate is a phase gate
 (``_walk_dtype``).  Before that gate every imaginary part is +0, so a
 complex start computes the same values as a real one.  Amplitudes are
-laid out as the kernels take them, ``(2**n, *batch)``.  There is one
+laid out as the kernels take them, ``(2**n, *batch)``.  A walk is
+compiled, then run: ``_compile`` turns the gates into steps over fixed
+sources and outputs in a ``_Workspace`` (two walk buffers, RY's scratch
+of one tile and its cos and sin planes for per-row angles, see
+``statevector.kernel_ry``), and ``_run`` hands each step to ``_apply``,
+which calls the public ``statevector.kernel_*`` by name.  There is one
 rule: walk the bound circuit from |0...0> (``_amplitudes``), a batch in
-blocks of rows of at most 256 KB (``_BLOCK_BYTES``).  ``simulate``
-walks one row; a prediction walks the model circuit bound to each block
-of rows and the weight row, and squares the block straight into its
-output.  Only a training problem (``_Problem``: one model, dataset and
-loss kind) caches the weight-free feature map's states (``_encode``, a
-``(2**n, N)`` state in the whole circuit's dtype), because every loss
-and gradient walks that prefix again.  Each of them walks the
-variational circuit from those states under a ``(B, m)`` stack of weight
-rows: one per loss, the 2m+1 rows ``w``, ``w +- pi/2 e_j`` per gradient,
-and SPSA's probes with their iterate (``batch_losses``).  A block walks
-``(2**n, B', N')``: B' whole weight rows over all N data rows while one
-weight row's states fit in a block, else one weight row over as many
-data rows as fit.  A row walks only from where its angles leave row 0's
-(``_forks``, ``_legs``): a row shifted in a later layer of the ansatz
-starts from a copy of row 0's state there, and one pass squares each
-walked block into the spare walk buffer, amplitude-last, for the head's
-readout.  No walk allocates a block-sized array per gate: the gates
-write in turn into the two walk buffers of a ``_Workspace`` (two
-blocks, one tile and two planes: two buffers, and RY's scratch of one
-tile and its cos and sin planes for per-row angles, see
-``statevector.kernel_ry``), which grows to the largest walk it is given;
-a forked walk adds one snapshot block for row 0's copied state.  Each
-``simulate`` or prediction call owns one workspace; a training problem
-is validated, encoded and given its readout and its workspace once.  No
-returned array is a view into a workspace.  A batch row is identical to
-one-at-a-time simulation, every fitted value, forked or not, to the
-public prediction, and a wide register needs no ``2**n x 2**n`` matrix.
+blocks of rows of at most 256 KB (``_BLOCK_BYTES``).  ``simulate`` walks
+one row; a prediction walks the model circuit bound to each block of
+rows and the weight row, and squares the block straight into its
+output.  Such one-shot walks leave each kernel to build its own views.
+
+Only a training problem (``_Problem``: one model, dataset and loss kind)
+caches the weight-free feature map's states (``_encode``, a ``(2**n, N)``
+state in the whole circuit's dtype), because every loss and gradient
+walks that prefix again.  Each of them walks the variational circuit
+from those states under a ``(B, m)`` stack of weight rows: one per loss,
+the 2m+1 rows ``w``, ``w +- pi/2 e_j`` per gradient, and SPSA's probes
+with their iterate (``batch_losses``).  A block walks ``(2**n, B', N')``:
+B' whole weight rows over all N data rows while one weight row's states
+fit in a block, else one weight row over as many data rows as fit.  A
+row walks only from where its angles leave row 0's (``_forks``,
+``_legs``): a row shifted in a later layer of the ansatz starts from a
+copy of row 0's state there, in the workspace's snapshot block.  The
+problem compiles these legs once per stack pattern, which rows leave row
+0 at which weights (``_Problem._plan``): each gate's angle source (a
+weight column or a fixed float), the bit positions and rotations, and
+every kernel's views (``statevector._views``), checked then.  An
+evaluation only gathers its angles into the plan and runs its steps, and
+each walked block is squared into the spare walk buffer for the head's
+readout: only the one or two amplitudes a parity readout counts, else
+all of them.  Plans live in the problem's workspace and are dropped when
+it grows.  No returned array is a view into a workspace.  A batch row is
+identical to one-at-a-time simulation, every fitted value, forked or
+not, to the public prediction, and a wide register needs no
+``2**n x 2**n`` matrix.
 
 A walk hands each run of consecutive CNOTs, such as a ``RealAmplitudes``
 chain, to one ``kernel_cnot`` call: one gather of the whole run, at about
@@ -59,13 +66,13 @@ times the batch size elements at a time, slowly below 2^12
 (``_FAST_RUN``).  So a one-qubit gate on a low position first rotates
 the register to put the coming one-qubit gates on high ones, and the
 walk rotates back before it returns.  At 2^20 float64 a 20-qubit RY
-layer falls from 63 to 36 ms, bit for bit the same (see ``_walk``).
+layer falls from 63 to 36 ms, bit for bit the same (see ``_compile``).
 
-One loss core, ``_loss_and_slope``, holds each loss and its slope for
-``batch_losses`` (and its one-row case ``batch_loss``) and the
-shift-rule gradient alike; every class decision
-goes through ``decide``.  Batch means use ``np.mean`` (pairwise
-summation) as the one documented reduction order.
+One loss formula, ``_loss``, gives each loss for ``batch_losses`` (and
+its one-row case ``batch_loss``) and the shift-rule gradient alike, and
+``_slope`` its slope for the gradient; every class decision goes through
+``decide``.  Batch means use ``np.mean`` (pairwise summation) as the one
+documented reduction order.
 """
 
 from __future__ import annotations
@@ -77,19 +84,20 @@ from functools import cached_property
 import numpy as np
 
 from .circuit import (
-    BoundGate,
     Circuit,
     Gate,
     Input,
     Weight,
+    _collect_indices,
     bind,
     build_benchmark_feature_map,
     build_efm,
     build_real_amplitudes,
     concat,
+    evaluate,
 )
 from .errors import UsageError
-from .statevector import StateVector, _apply, _tile_amplitudes
+from .statevector import StateVector, _apply, _tile_amplitudes, _views
 
 REGRESSION = "regression"
 PARITY = "parity"
@@ -212,11 +220,21 @@ class _Workspace:
     buffer alive.  A forked walk (``_Problem.fitted``) also keeps one
     snapshot block, a fourth array made on its first use: row 0's state
     at a fork, which the walks from it read and never write.
+
+    ``plans`` holds the compiled walks of a training problem, whose views
+    point into these arrays; growing any array drops them all, and counts
+    one more in ``grown``.
     """
 
     def __init__(self):
         self._bytes = (np.empty(0, np.uint8),) * 3
         self._snapshot = np.empty(0, np.uint8)
+        self.plans: dict = {}
+        self.grown = 0
+
+    def _drop_plans(self) -> None:
+        self.plans.clear()
+        self.grown += 1
 
     def views(self, amps: np.ndarray) -> list[np.ndarray]:
         """The two walk buffers shaped like ``amps``, then RY's scratch, ``(k + 2, *batch)``."""
@@ -225,6 +243,7 @@ class _Workspace:
         first, scratch = self._bytes[0].size, self._bytes[2].size
         if first < amps.nbytes or scratch < tile:
             sizes = (max(first, amps.nbytes),) * 2 + (max(scratch, tile),)
+            self._drop_plans()
             self._bytes = ()  # release the smaller arrays before allocating
             self._bytes = tuple(np.empty(size, np.uint8) for size in sizes)
         shapes = (amps.shape, amps.shape, (k + 2,) + amps.shape[1:])
@@ -236,17 +255,16 @@ class _Workspace:
         return second if np.may_share_memory(first, amps) else first
 
     def snapshot(self, amps: np.ndarray) -> np.ndarray:
-        """A copy of ``amps`` in the snapshot block, which no walk writes."""
+        """The snapshot block, which no walk writes, shaped like ``amps``."""
         if self._snapshot.size < amps.nbytes:
+            self._drop_plans()
             self._snapshot = np.empty(0, np.uint8)  # release the smaller block first
             self._snapshot = np.empty(amps.nbytes, np.uint8)
-        copy = _as(self._snapshot, amps.shape, amps.dtype)
-        np.copyto(copy, amps)
-        return copy
+        return _as(self._snapshot, amps.shape, amps.dtype)
 
 
 # A one-qubit gate whose pair halves come in runs of fewer elements than
-# this rotates the register first (see ``_walk``).  At 2^20 float64 a
+# this rotates the register first (see ``_compile``).  At 2^20 float64 a
 # lone RY takes 13.3 ms at bit position 1, 7.2 at 2, 3.5 at 6 and 2.7 at
 # 11, against 1.7-2.0 ms from position 12 on, where a run is 2^12 long.
 _FAST_RUN = 1 << 12
@@ -307,15 +325,24 @@ def _rotate(amps: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _walk(gates, amps: np.ndarray, work: _Workspace) -> np.ndarray:
-    """Apply bound gates in order to ``amps``, of the walk's one dtype (see ``_walk_dtype``).
+def _compile(gates, thetas, amps: np.ndarray, work: _Workspace, views: bool):
+    """The steps of a walk of ``gates`` from ``amps``, and the view its result will be in.
+
+    ``thetas`` holds each gate's angle as its kernel takes it.  A step is
+    ``(name, source, positions, theta, out, scratch, views)``, which
+    ``_run`` hands to ``_apply``; for the name ``"rotate"`` it calls
+    ``_rotate(source, positions, out)``, ``positions`` being the shift.
+    Every source and output is fixed: the input, or the walk buffer of
+    ``work`` that the step before wrote.  With ``views``, each step also
+    holds the views its kernel works on (``statevector._views``), built and
+    checked here once, so that each run of the steps calls only the ufuncs.
 
     Gates bound to a batch of rows turn ``amps[:, b]``, shape ``(2**n, ...)``,
     by row ``b``'s angles.  Each run of consecutive CNOTs is one
     ``kernel_cnot`` call, a single gather.  Every gate, CNOT run and
-    rotation writes the walk buffer of ``work`` that does not hold its
-    input, so the result is a view into one of the two; a walk from such a
-    result goes on from its buffer.
+    rotation writes the walk buffer that does not hold its input, so the
+    result is a view into one of the two; a walk from such a result goes on
+    from its buffer.
 
     The walk keeps one bit rotation ``r``: logical qubit ``q`` sits at bit
     position ``(q + r) % n``, and each kernel gets the positions.  A
@@ -335,29 +362,54 @@ def _walk(gates, amps: np.ndarray, work: _Workspace) -> np.ndarray:
         amps = next((b for b in buffers if np.may_share_memory(amps, b)), amps)
     n = amps.shape[0].bit_length() - 1
     low, r = _slow_positions(amps), 0
-    run = []  # the (control, target) positions of the CNOTs since the last other gate
-    # buffers[amps is buffers[0]] is the walk buffer that does not hold amps.
+    steps, run = [], []  # the (control, target) positions of the CNOTs since the last other gate
+
+    def step(name, positions, theta=None):
+        nonlocal amps
+        out = buffers[amps is buffers[0]]  # the walk buffer that does not hold amps
+        given = _views(amps, name, positions, out, scratch) if views and name != "rotate" else None
+        steps.append((name, amps, positions, theta, out, scratch, given))
+        amps = out
+
     for k, g in enumerate(gates):
         if g.name == "cnot":
             run.append(tuple((q + r) % n for q in g.qubits) if r else g.qubits)
             if k + 1 < len(gates) and gates[k + 1].name == "cnot":
                 continue  # the run goes on
-            qubits = tuple(zip(*run)) if len(run) > 1 else run[0]  # (controls, targets)
-            amps = _apply(amps, "cnot", qubits, None, buffers[amps is buffers[0]])
+            step("cnot", tuple(zip(*run)) if len(run) > 1 else run[0])  # (controls, targets)
             run = []
             continue
         if low and (g.qubits[0] + r) % n < low:
             rotation = _rotation(gates[k:], n, low)
-            amps = _rotate(amps, (rotation - r) % n, buffers[amps is buffers[0]])
+            step("rotate", (rotation - r) % n)
             r = rotation
-        angle = g.angle
-        if np.ndim(angle):  # one angle per batch row, shared by the axes after it
-            angle = angle.reshape(angle.shape + (1,) * (amps.ndim - 2))
-        qubits = tuple((q + r) % n for q in g.qubits) if r else g.qubits
-        amps = _apply(amps, g.name, qubits, angle, buffers[amps is buffers[0]], scratch)
+        step(g.name, tuple((q + r) % n for q in g.qubits) if r else g.qubits, thetas[k])
     if r:
-        amps = _rotate(amps, n - r, buffers[amps is buffers[0]])
-    return amps
+        step("rotate", n - r)
+    return steps, amps
+
+
+def _run(steps) -> None:
+    """Run compiled steps (``_compile``) through ``_apply`` and ``_rotate``."""
+    for name, amps, positions, theta, out, scratch, views in steps:
+        if name == "rotate":
+            _rotate(amps, positions, out)
+        else:
+            _apply(amps, name, positions, theta, out, scratch, views)
+
+
+def _walk(gates, amps: np.ndarray, work: _Workspace) -> np.ndarray:
+    """Apply bound gates in order to ``amps``, of the walk's one dtype (see ``_walk_dtype``).
+
+    The walk is compiled (``_compile``) and run once; each kernel builds
+    its own views, so no view of a one-shot walk outlives its step.  The
+    result is a view into ``work``.
+    """
+    thetas = [g.angle.reshape(g.angle.shape + (1,) * (amps.ndim - 2))  # one angle per row
+              if np.ndim(g.angle) else g.angle for g in gates]
+    steps, result = _compile(gates, thetas, amps, work, views=False)
+    _run(steps)
+    return result
 
 
 def _amplitudes(circuit: Circuit, inputs, weights, work: _Workspace) -> np.ndarray:
@@ -427,7 +479,10 @@ def probabilities_batch(model: QnnModel, X, w) -> np.ndarray:
     out, work = np.empty((len(X), dim)), _Workspace()
     for rows in _blocks(len(X), dim * _walk_dtype(float, model.circuit.gates).itemsize):
         t = out[rows].T  # amplitude-first, like the walked block
-        np.square(np.abs(_amplitudes(model.circuit, X[rows], w, work), out=t), out=t)
+        amps = _amplitudes(model.circuit, X[rows], w, work)
+        if amps.dtype.kind == "c":
+            amps = np.abs(amps, out=t)
+        np.square(amps, out=t)  # of a real amplitude, the same bits as of its abs
     return out
 
 
@@ -455,11 +510,12 @@ def forward(model: QnnModel, x, w) -> Regression | ClassProbs:
 # Losses and metrics
 
 
-def _forks(gates, batch: int):
-    """Where each of the ``batch`` weight rows of ``gates`` leaves row 0's walk.
+def _forks(gates, differs: np.ndarray):
+    """Where each weight row of ``gates`` leaves row 0's walk.
 
-    Returns ``(starts, leaving)``: each row's start, and for each gate the
-    set of rows whose angle there has other bits than row 0's.  A row's
+    ``differs[b, k]`` says whether row ``b``'s angle at gate ``k`` may have
+    other bits than row 0's.  Returns ``(starts, leaving)``: each row's
+    start, and for each gate the set of rows that differ there.  A row's
     first such gate lies in a run of one-qubit gates, and the row starts at
     the first gate of that run (any CNOTs before the first run belong to
     it): before its start a row's walk is row 0's, gate for gate, bit for
@@ -477,28 +533,28 @@ def _forks(gates, batch: int):
     varying = [k for k, g in enumerate(gates) if isinstance(g.angle, np.ndarray)]
     if not any(runs[k] for k in varying):
         return None
-    first = gates[varying[0]].angle.view(np.uint64)
-    if not runs[varying[0]] and (first[1:] != first[0]).all():
+    if not runs[varying[0]] and differs[1:, varying[0]].all():
         return None  # every row leaves row 0 at its first varying gate
-    bits = np.array([gates[k].angle for k in varying]).view(np.uint64)
-    gate, row = np.nonzero(bits != bits[:, :1])  # gate by gate
-    starts, leaving = [len(gates)] * batch, [set() for _ in gates]
-    for k, b in zip(np.take(varying, gate).tolist(), row.tolist()):
-        leaving[k].add(b)
+    starts, leaving = [len(gates)] * len(differs), [set() for _ in gates]
+    for b, k in zip(*np.nonzero(differs)):
+        leaving[k].add(int(b))
         starts[b] = min(starts[b], runs[k])
     if not any(0 < start < len(gates) for start in starts):
         return None
     return starts, leaving
 
 
-def _legs(gates, batch: int, per_block: int) -> tuple[list, list]:
-    """The walks of ``batch`` weight rows of ``gates``, at most ``per_block`` rows each.
+def _legs(gates, differs: np.ndarray, per_block: int) -> tuple[list, list]:
+    """The walks of the weight rows of ``gates``, at most ``per_block`` rows each.
 
-    Returns ``(legs, same)``.  A leg is ``(gates, rows, on, snap, read)``:
-    walk ``rows`` through ``gates`` from row 0's state at the leg's start,
-    or on from the leg before (``on``); then copy row 0's state, the first
+    ``differs`` is as for ``_forks``, one row per weight row.  Returns
+    ``(legs, same)``.  A leg is ``(lo, hi, rows, picks, on, snap, read)``:
+    walk ``rows`` through ``gates[lo:hi]`` from row 0's state at ``lo``, or
+    on from the leg before (``on``); then copy row 0's state, the first
     row's, into the snapshot (``snap``), or read ``rows`` out (``read``).
-    ``same`` are row 0 and the rows equal to it, which take its values.
+    ``picks`` holds, for each of those gates, the rows whose angles it
+    takes, or ``None`` for a fixed angle.  ``same`` are row 0 and the rows
+    equal to it, which take its values.
 
     When no row leaves row 0 after the first run (``_forks``), every row
     walks from the start.  Otherwise the rows of each start walk from row
@@ -506,30 +562,22 @@ def _legs(gates, batch: int, per_block: int) -> tuple[list, list]:
     block of the rows of each start if it has room, else on its own.  A
     block that carries it on to the next start leaves a copy of its state
     there, and goes on to the end.  A gate where none of a leg's rows
-    leaves row 0 keeps row 0's angle alone, which the kernel broadcasts:
+    leaves row 0 takes row 0's angle alone, which the kernel broadcasts:
     the same products as a whole plane of it.
     """
-    forks = _forks(gates, batch) if batch > 1 else None
+    batch, varying = len(differs), [isinstance(g.angle, np.ndarray) for g in gates]
+    forks = _forks(gates, differs) if batch > 1 else None
     if forks is None:
-        if batch <= per_block:
-            return [(gates, list(range(batch)), False, False, True)], [0]
-        legs = []
-        for i in range(0, batch, per_block):
-            rows = list(range(i, min(i + per_block, batch)))
-            leg = [BoundGate(g.name, g.qubits, g.angle[i : i + per_block])
-                   if isinstance(g.angle, np.ndarray) else g for g in gates]
-            legs.append((leg, rows, False, False, True))
-        return legs, [0]
+        chunks = [list(range(i, min(i + per_block, batch))) for i in range(0, batch, per_block)]
+        return [(0, len(gates), rows, [rows if v else None for v in varying], False, False, True)
+                for rows in chunks], [0]
     starts, leaving = forks
-    alone = [BoundGate(g.name, g.qubits, g.angle[:1]) if isinstance(g.angle, np.ndarray) else g
-             for g in gates]
 
-    def take(lo: int, hi: int, rows: list) -> list:
-        """``gates[lo:hi]`` bound to ``rows``."""
-        return [
-            BoundGate(g.name, g.qubits, g.angle[rows])
-            if not leaving[k].isdisjoint(rows) else alone[k]
-            for k, g in enumerate(gates[lo:hi], lo)
+    def take(lo: int, hi: int, rows: list) -> tuple:
+        """``gates[lo:hi]`` for ``rows``."""
+        return lo, hi, rows, [
+            None if not varying[k] else [0] if leaving[k].isdisjoint(rows) else rows
+            for k in range(lo, hi)
         ]
 
     groups: dict[int, list] = {}
@@ -541,19 +589,25 @@ def _legs(gates, batch: int, per_block: int) -> tuple[list, list]:
         rows = groups.get(start, [])
         chunks = [rows[i : i + per_block] for i in range(0, len(rows), per_block)]
         carrier = [0] + (chunks.pop() if chunks and len(chunks[-1]) < per_block else [])
-        legs += [(take(start, len(gates), c), c, False, False, True) for c in chunks]
+        legs += [take(start, len(gates), c) + (False, False, True) for c in chunks]
         last = stop == len(gates)
-        legs.append((take(start, stop, carrier), carrier, False, not last, last))
+        legs.append(take(start, stop, carrier) + (False, not last, last))
         if not last and len(carrier) > 1:  # the carrier goes on to the end
-            legs.append((take(stop, len(gates), carrier), carrier, True, False, True))
+            legs.append(take(stop, len(gates), carrier) + (True, False, True))
     return legs, groups[len(gates)]
+
+
+# A training problem keeps the compiled walks of at most this many weight
+# stack patterns, dropping the oldest first.
+_PLANS_KEPT = 8
 
 
 class _Problem:
     """One model, dataset and loss kind, validated, encoded and read out once.
 
     Holds the encoded rows ``psi``, the workspace that their encode and
-    every later walk write into, the targets and the head's readout.
+    every later walk write into, with the compiled walks of the weight
+    stacks (``_plan``), the targets and the head's readout.
     """
 
     def __init__(self, model: QnnModel, dataset, kind: str):
@@ -573,6 +627,7 @@ class _Problem:
                 f"dataset row {int(np.argmin(finite))} has a non-finite feature or target"
             )
         self.model, self.kind = model, kind
+        self.shift_checked = False  # set by ``optim`` once the shift rule's precondition holds
         self.work = _Workspace()
         self.psi = _encode(model, X, self.work)
         # The data rows of a block, and the weight rows it holds over them.
@@ -580,9 +635,25 @@ class _Problem:
         self.stack = max(1, _BLOCK_BYTES // self.psi[:, self.blocks[0]].nbytes)
         signs = parity_signs(model.n_qubits)
         self.readout = signs if kind == SQUARED_ERROR else np.where(signs > 0, 1.0, 0.0)
+        # A readout of |0...0>'s +1 and at most one more +-1 is that square, or the
+        # sum or difference of the two: every other term of ``probs @ readout`` is
+        # an exact +0, in any order of summation.
+        terms = np.flatnonzero(self.readout)
+        fast = len(terms) <= 2 and set(self.readout[terms].tolist()) <= {1.0, -1.0}
+        self.terms = terms.tolist() if fast else None
+        self.combine = np.add if self.readout[terms[-1]] > 0 else np.subtract
         # P(label) = P(class 0) * sign + offset: 1 - P for label 1, P + 0 for label 0.
         label_one = self.targets == 1
         self.flip = (np.where(label_one, -1.0, 1.0), np.where(label_one, 1.0, 0.0))
+        # Each weight-dependent angle's weights, and its column of the angle table
+        # (``_angles``): its weight's own, or one after the weights for an expression.
+        self.depends = [sorted(_collect_indices(g.angle, Weight)) if g.angle else []
+                        for g in model.variational.gates]
+        self.exprs = [g.angle for g, d in zip(model.variational.gates, self.depends)
+                      if d and not isinstance(g.angle, Weight)]
+        extra = iter(range(model.n_weights, model.n_weights + len(self.exprs)))
+        self.columns = [None if not d else g.angle.index if isinstance(g.angle, Weight)
+                        else next(extra) for g, d in zip(model.variational.gates, self.depends)]
 
     def fitted(self, weights) -> np.ndarray:
         """Fitted values of every row under each row of the ``(B, m)`` ``weights``: ``(B, N)``.
@@ -596,24 +667,21 @@ class _Problem:
         gate, the arithmetic of the row's own one-row walk, so each value is
         bit for bit that of the row walked alone.
 
-        One pass squares each walked block into the spare walk buffer,
-        amplitude-last, for the readout.  A fitted value is y' for squared
-        error and P(label) for cross-entropy, turned from P(class 0) in place.
+        The legs are compiled once per stack pattern (``_plan``); an
+        evaluation gathers its angles into the plan and runs its steps.  A
+        fitted value is y' for squared error and P(label) for cross-entropy,
+        turned from P(class 0) in place.
         """
-        gates = bind(self.model.variational, (), weights)
-        (dim, n_rows), batch = self.psi.shape, len(weights)
-        legs, same = _legs(gates, batch, self.stack)
-        fitted = np.empty((batch, n_rows))
-        for rows in self.blocks:
-            state = self.psi[:, None, rows]  # row 0's state at the next leg's start
-            for leg_gates, which, on, snap, read in legs:
-                if not on:
-                    amps = np.broadcast_to(state, (dim, len(which)) + state.shape[2:])
-                amps = _walk(leg_gates, amps, self.work)
-                if snap:
-                    state = self.work.snapshot(amps[:, :1])
-                if read:
-                    self._read(amps, which, rows, fitted)
+        W = np.ascontiguousarray(weights, dtype=float)
+        index, angles, legs, same = self._plan(W)
+        np.take(self._angles(W), index, out=angles)
+        fitted = np.empty((len(W), self.psi.shape[1]))
+        for steps, snap, read in legs:
+            _run(steps)
+            if snap:
+                np.copyto(*snap)
+            if read:
+                self._read(read, fitted)
         if len(same) > 1:  # row 0 itself and the rows equal to it
             fitted[same] = fitted[0]
         if self.kind == CROSS_ENTROPY:
@@ -623,28 +691,122 @@ class _Problem:
             fitted += self.flip[1]
         return fitted
 
-    def _read(self, amps, which, rows, fitted) -> None:
-        """Square ``amps`` into the spare walk buffer and read it out into ``fitted[which, rows]``."""
-        probs = _as(self.work.spare(amps), amps.shape[1:] + amps.shape[:1], float)
-        squares = probs.transpose(2, 0, 1)  # amplitude-first, like amps
-        if amps.dtype.kind == "c":
-            amps = np.abs(amps, out=squares)
-        np.square(amps, out=squares)  # of a real amplitude, the same bits as of its abs
-        fitted[which, rows] = probs @ self.readout
+    def _angles(self, W: np.ndarray) -> np.ndarray:
+        """The angle table of ``W``: its weight columns, then one column per expression angle."""
+        if not self.exprs:
+            return W
+        return np.column_stack([W] + [evaluate(e, (), W) for e in self.exprs])
+
+    def _plan(self, W: np.ndarray) -> tuple:
+        """The compiled walk of weight stacks that leave row 0 where ``W`` does.
+
+        Returns ``(index, angles, legs, same)``: the angle table's flat
+        entries that each evaluation gathers into ``angles``, whose views
+        the steps take as angles, the legs of every block as ``(steps,
+        snap, read)`` over fixed views, and the rows equal to row 0 (see
+        ``_legs``).  The key is the stack's shape and which weights of each
+        row have other bits than row 0's, so that one plan serves every
+        gradient, every SPSA step and every single loss.  ``bind`` checks
+        the stack's arity when the plan is built, and the kernels check
+        their views.
+        """
+        bits = W.view(np.uint64)
+        differ = bits != bits[:1]
+        key = (W.shape, differ.tobytes())
+        plan = self.work.plans.get(key)
+        if plan is not None:
+            return plan
+        gates = bind(self.model.variational, (), W)
+        differs = np.zeros((len(W), len(gates)), bool)
+        for k, depends in enumerate(self.depends):
+            if depends:
+                differs[:, k] = differ[:, depends].any(axis=1)
+        legs, same = _legs(gates, differs, self.stack)
+        width, index, thetas = W.shape[1] + len(self.exprs), [], []
+        for lo, hi, _, picks, *_ in legs:  # each gate's fixed angle, or its slice of angles
+            thetas.append([])
+            for k, rows in zip(range(lo, hi), picks):
+                at = len(index)
+                index += [b * width + self.columns[k] for b in rows or ()]
+                thetas[-1].append(gates[k].angle if rows is None else slice(at, len(index)))
+        angles = np.empty(len(index))
+        thetas = [[angles[t].reshape(-1, 1) if isinstance(t, slice) else t for t in leg]
+                  for leg in thetas]
+        grown = None
+        while grown != self.work.grown:  # build again if the workspace grew meanwhile
+            grown = self.work.grown
+            compiled = [step for rows in self.blocks
+                        for step in self._compile_block(gates, legs, thetas, rows)]
+        if len(self.work.plans) >= _PLANS_KEPT:
+            del self.work.plans[next(iter(self.work.plans))]
+        plan = self.work.plans[key] = (np.array(index, np.intp), angles, compiled, same)
+        return plan
+
+    def _compile_block(self, gates, legs, thetas, rows: slice) -> list:
+        """The legs of the data ``rows`` as ``(steps, snap, read)`` (see ``_plan``)."""
+        dim, state, compiled = self.psi.shape[0], self.psi[:, None, rows], []
+        for (lo, hi, which, _, on, snap, read), leg_thetas in zip(legs, thetas):
+            if not on:
+                amps = np.broadcast_to(state, (dim, len(which)) + state.shape[2:])
+            steps, amps = _compile(gates[lo:hi], leg_thetas, amps, self.work, views=True)
+            if snap:
+                state = self.work.snapshot(amps[:, :1])
+                snap = (state, amps[:, :1])
+            compiled.append((steps, snap, self._reader(amps, which, rows) if read else None))
+        return compiled
+
+    def _reader(self, amps: np.ndarray, which: list, rows: slice) -> tuple:
+        """``(amps, squares, terms, which, rows)``: how ``_read`` reads ``amps`` out.
+
+        The squares go into the spare walk buffer: all of them, amplitude-last,
+        for the readout's product, or only the ``terms`` of the readout, each
+        ``(amplitudes, square)`` as whole planes.
+        """
+        spare = self.work.spare(amps)
+        if which == list(range(which[0], which[-1] + 1)):
+            which = slice(which[0], which[-1] + 1)
+        if self.terms is None:
+            return amps, _as(spare, amps.shape[1:] + amps.shape[:1], float), None, which, rows
+        squares = _as(spare, (len(self.terms),) + amps.shape[1:], float)
+        terms = [(amps[i], square) for i, square in zip(self.terms, squares)]
+        return amps, squares, terms, which, rows
+
+    def _read(self, read: tuple, fitted: np.ndarray) -> None:
+        """Square the walked amplitudes and read them out into ``fitted[which, rows]``."""
+        amps, squares, terms, which, rows = read
+        if terms is None:
+            probs, squares = squares, squares.transpose(2, 0, 1)  # amplitude-first, like amps
+            if amps.dtype.kind == "c":
+                amps = np.abs(amps, out=squares)
+            np.square(amps, out=squares)  # of a real amplitude, the same bits as of its abs
+            fitted[which, rows] = probs @ self.readout
+            return
+        for a, square in terms:
+            if a.dtype.kind == "c":
+                a = np.abs(a, out=square)
+            np.square(a, out=square)
+        if len(terms) == 2:
+            self.combine(squares[0], squares[1], out=squares[0])
+        fitted[which, rows] = squares[0]
 
 
-def _loss_and_slope(fitted: np.ndarray, targets: np.ndarray, kind: str):
-    """Per-row loss and its slope in ``fitted`` (any shape broadcasting to ``targets``).
+def _loss(fitted: np.ndarray, targets: np.ndarray, kind: str) -> np.ndarray:
+    """Per-row loss of ``fitted`` (any shape broadcasting to ``targets``).
 
-    ``squared_error``: (y' - t)^2, slope 2 (y' - t).  ``cross_entropy``:
-    -ln P(label) with P clamped at ``PROB_EPS``, slope -1/P; 0 below the
-    clamp, where the loss is flat.
+    ``squared_error``: (y' - t)^2.  ``cross_entropy``: -ln P(label) with P
+    clamped at ``PROB_EPS``.
     """
     if kind == SQUARED_ERROR:
-        residual = fitted - targets
-        return residual**2, 2.0 * residual
-    clamped = np.maximum(fitted, PROB_EPS)
-    return -np.log(clamped), np.where(fitted < PROB_EPS, 0.0, -1.0 / clamped)
+        return (fitted - targets) ** 2
+    return -np.log(np.maximum(fitted, PROB_EPS))
+
+
+def _slope(fitted: np.ndarray, targets: np.ndarray, kind: str) -> np.ndarray:
+    """The slope of ``_loss`` in ``fitted``: 2 (y' - t), or -1/P, 0 below the clamp where the
+    loss is flat."""
+    if kind == SQUARED_ERROR:
+        return 2.0 * (fitted - targets)
+    return np.where(fitted < PROB_EPS, 0.0, -1.0 / np.maximum(fitted, PROB_EPS))
 
 
 def batch_losses(model: QnnModel, W, dataset, kind: str, *, _problem=None) -> np.ndarray:
@@ -666,14 +828,14 @@ def batch_losses(model: QnnModel, W, dataset, kind: str, *, _problem=None) -> np
     if _problem is None:
         _problem = _Problem(model, dataset, kind)
     return np.array([
-        np.mean(_loss_and_slope(f, _problem.targets, kind)[0])
+        np.mean(_loss(f, _problem.targets, kind))
         for i in range(0, len(W), _problem.stack)
         for f in _problem.fitted(W[i : i + _problem.stack])
     ])
 
 
 def batch_loss(model: QnnModel, w, dataset, kind: str, *, _problem=None) -> float:
-    """Arithmetic mean of per-sample losses over a dataset (see ``_loss_and_slope``).
+    """Arithmetic mean of per-sample losses over a dataset (see ``_loss``).
 
     The one-row case of ``batch_losses``.  Refuses a non-finite weight, or
     more than one row of them, first.

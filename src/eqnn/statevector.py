@@ -33,7 +33,15 @@ Kernels take bit positions, not logical qubits: the circuit walk in
 
 ``_apply`` is the one place that maps a gate name (``h``, ``phase``,
 ``ry``, ``cnot``) to its kernel; the value-type API and the circuit
-walk in ``qnn`` both go through it.
+walk in ``qnn`` both go through it.  Each kernel first builds and checks
+the views it works on (its output, the pair halves of each tile, RY's
+scratch and planes, a CNOT run's reshaped input and output and source
+tables) with a private ``_*_views`` function; ``_views`` builds them
+for a gate name, and a kernel given them through its private ``_views``
+argument skips that step.  A walk compiled once and run many times
+(``qnn._Problem``) hands each kernel the views it built at compile
+time, so a call runs only the kernel's ufuncs, the same ones in the same
+order as a call that builds its own.
 
 All operations are pure unless given ``out`` (or ``scratch``), which must
 not overlap the input; nothing mutates its input.
@@ -138,12 +146,17 @@ def _tiles(a: np.ndarray, o: np.ndarray, k: int) -> tuple[tuple, ...]:
     )
 
 
-def kernel_h(amps: np.ndarray, qubit: int, out=None) -> np.ndarray:
-    """Hadamard on ``qubit``, one tile of the pair halves at a time."""
+def _h_views(amps: np.ndarray, qubit: int, out) -> tuple:
+    """``(result, tiles)``: ``kernel_h``'s output and the pair halves of each tile (``_tiles``)."""
     a = _split(amps, qubit)
     result = _target(amps, out, amps.shape, amps.dtype, "out")
-    o = result.reshape(a.shape)
-    for v0, v1, o0, o1 in _tiles(a, o, _tile_amplitudes(amps)):
+    return result, _tiles(a, result.reshape(a.shape), _tile_amplitudes(amps))
+
+
+def kernel_h(amps: np.ndarray, qubit: int, out=None, _views=None) -> np.ndarray:
+    """Hadamard on ``qubit``, one tile of the pair halves at a time."""
+    result, tiles = _views or _h_views(amps, qubit, out)
+    for v0, v1, o0, o1 in tiles:
         np.add(v0, v1, out=o0)
         np.multiply(o0, _SQRT_HALF, out=o0)
         np.subtract(v0, v1, out=o1)
@@ -151,20 +164,42 @@ def kernel_h(amps: np.ndarray, qubit: int, out=None) -> np.ndarray:
     return result
 
 
-def kernel_phase(amps: np.ndarray, theta, qubit: int, out=None) -> np.ndarray:
-    """Phase gate diag(1, e^{i*theta}) on ``qubit``; the output is complex."""
+def _phase_views(amps: np.ndarray, qubit: int, out) -> tuple:
+    """``(result, a0, a1, o0, o1)``: ``kernel_phase``'s output, and the pair halves of its
+    input and output."""
     a = _split(amps, qubit)
     result = _target(amps, out, amps.shape, complex, "out")
     o = result.reshape(a.shape)
-    o[:, 0] = a[:, 0]
+    return result, a[:, 0], a[:, 1], o[:, 0], o[:, 1]
+
+
+def kernel_phase(amps: np.ndarray, theta, qubit: int, out=None, _views=None) -> np.ndarray:
+    """Phase gate diag(1, e^{i*theta}) on ``qubit``; the output is complex."""
+    result, a0, a1, o0, o1 = _views or _phase_views(amps, qubit, out)
+    o0[...] = a0
     # Broadcast before the multiply: a one-element product that the ufunc must
     # broadcast itself skips numpy's SIMD loop and rounds 1 ulp apart.
-    phase = np.broadcast_to(np.exp(1j * np.asarray(theta, dtype=float)), o[:, 1].shape)
-    np.multiply(a[:, 1], phase, out=o[:, 1])
+    phase = np.broadcast_to(np.exp(1j * np.asarray(theta, dtype=float)), o1.shape)
+    np.multiply(a1, phase, out=o1)
     return result
 
 
-def kernel_ry(amps: np.ndarray, theta, qubit: int, out=None, scratch=None) -> np.ndarray:
+def _ry_views(amps: np.ndarray, qubit: int, out, scratch) -> tuple:
+    """``(result, tiles, tmp, planes)`` of ``kernel_ry``: its output, the pair halves of
+    each tile (``_tiles``), the second product's scratch shaped like a tile's half, and
+    the cos and sin planes."""
+    a = _split(amps, qubit)
+    result = _target(amps, out, amps.shape, amps.dtype, "out")
+    k = _tile_amplitudes(amps)
+    tiles = _tiles(a, result.reshape(a.shape), k)
+    tmp = _target(amps, scratch, (k + 2,) + amps.shape[1:], amps.dtype, "scratch")
+    if scratch is not None and np.may_share_memory(tmp, result):
+        raise UsageError("scratch must not overlap out")
+    return result, tiles, tmp[:k].reshape(tiles[0][1].shape), (tmp[k], tmp[k + 1])
+
+
+def kernel_ry(amps: np.ndarray, theta, qubit: int, out=None, scratch=None,
+              _views=None) -> np.ndarray:
     """RY rotation [[cos t/2, -sin t/2], [sin t/2, cos t/2]] on ``qubit``.
 
     Works one tile of the pair halves at a time (see ``_KERNEL_TILE_BYTES``).
@@ -181,21 +216,13 @@ def kernel_ry(amps: np.ndarray, theta, qubit: int, out=None, scratch=None) -> np
     shaped like the batch.  Every product is the same, bit for bit.  A
     scalar, one-element or batch-shaped angle is used as it is.
     """
-    a = _split(amps, qubit)
+    result, tiles, tmp, planes = _views or _ry_views(amps, qubit, out, scratch)
     half = np.asarray(theta, dtype=float) / 2.0
     c, s = np.cos(half), np.sin(half)
-    result = _target(amps, out, amps.shape, amps.dtype, "out")
-    o = result.reshape(a.shape)
-    k = _tile_amplitudes(amps)
-    tiles = _tiles(a, o, k)
-    tmp = _target(amps, scratch, (k + 2,) + amps.shape[1:], amps.dtype, "scratch")
-    if scratch is not None and np.may_share_memory(tmp, result):
-        raise UsageError("scratch must not overlap out")
     if half.size > 1 and half.shape != amps.shape[1:]:
-        np.copyto(tmp[k], c)
-        np.copyto(tmp[k + 1], s)
-        c, s = tmp[k], tmp[k + 1]
-    tmp = tmp[:k].reshape(tiles[0][1].shape)
+        np.copyto(planes[0], c)
+        np.copyto(planes[1], s)
+        c, s = planes
     for v0, v1, o0, o1 in tiles:
         np.multiply(s, v1, out=tmp)
         np.subtract(np.multiply(c, v0, out=o0), tmp, out=o0)
@@ -234,15 +261,10 @@ def _gather_tables(pairs: tuple[tuple[int, int], ...]) -> tuple[int, int, np.nda
     return (low, high) + tables
 
 
-def kernel_cnot(amps: np.ndarray, control: int, target: int, out=None) -> np.ndarray:
-    """CNOT: flip ``target`` on the amplitudes whose ``control`` bit is 1.
-
-    ``control`` and ``target`` may also be tuples or lists of equal length,
-    a run of CNOTs applied in order.  Bit positions below the run's lowest
-    and above its highest do not move, so the run is one gather of whole
-    chunks of ``2**low`` amplitudes through two small source tables
-    (``_gather_tables``), at about the same speed at every position.
-    """
+def _cnot_views(amps: np.ndarray, control, target, out) -> tuple:
+    """``(result, a, o, hi, lo)`` of ``kernel_cnot``: its output, input and output as
+    ``(pre, 2**span chunks, 2**low amplitudes and their batch per chunk)``, and the run's
+    source tables (``_gather_tables``)."""
     n = _qubit_count(amps.shape[0])
     if isinstance(control, (tuple, list)):
         if not (isinstance(target, (tuple, list)) and 0 < len(control) == len(target)):
@@ -263,11 +285,23 @@ def kernel_cnot(amps: np.ndarray, control: int, target: int, out=None) -> np.nda
             raise UsageError(f"cnot control and target must differ (both {c})")
     low, high, hi, lo = _gather_tables(pairs)
     result = _target(amps, out, amps.shape, amps.dtype, "out")
-    # (pre, 2**span chunks, 2**low amplitudes and their batch per chunk).
+    shape = (1 << (n - 1 - high), 1 << (high - low + 1), (amps.size >> n) << low)
+    return result, amps.reshape(shape), result.reshape(shape), hi, lo
+
+
+def kernel_cnot(amps: np.ndarray, control: int, target: int, out=None,
+                _views=None) -> np.ndarray:
+    """CNOT: flip ``target`` on the amplitudes whose ``control`` bit is 1.
+
+    ``control`` and ``target`` may also be tuples or lists of equal length,
+    a run of CNOTs applied in order.  Bit positions below the run's lowest
+    and above its highest do not move, so the run is one gather of whole
+    chunks of ``2**low`` amplitudes through two small source tables
+    (``_gather_tables``), at about the same speed at every position.
+    """
+    result, a, o, hi, lo = _views or _cnot_views(amps, control, target, out)
     # mode="raise" would gather into a buffered copy of ``out``, one more
     # pass; every table entry is in range.
-    shape = (1 << (n - 1 - high), 1 << (high - low + 1), (amps.size >> n) << low)
-    a, o = amps.reshape(shape), result.reshape(shape)
     if len(hi) == 1:
         a.take(lo, axis=1, out=o, mode="clip")
         return result
@@ -278,22 +312,42 @@ def kernel_cnot(amps: np.ndarray, control: int, target: int, out=None) -> np.nda
     return result
 
 
+def _views(amps: np.ndarray, name: str, qubits: tuple, out, scratch=None):
+    """The views that ``_apply`` hands the kernel of ``name`` for ``amps`` and ``out``.
+
+    The kernel checks its qubits, ``out`` and ``scratch`` as it builds
+    them.  ``None`` for a CNOT whose input is not C-ordered: its reshape is
+    a copy, which the kernel must make at each call.
+    """
+    if name == "h":
+        return _h_views(amps, qubits[0], out)
+    if name == "phase":
+        return _phase_views(amps, qubits[0], out)
+    if name == "ry":
+        return _ry_views(amps, qubits[0], out, scratch)
+    if name == "cnot":
+        views = _cnot_views(amps, qubits[0], qubits[1], out)
+        return views if np.may_share_memory(views[1], amps) else None
+    raise UsageError(f"unknown gate {name!r}")
+
+
 def _apply(amps: np.ndarray, name: str, qubits: tuple[int, ...], angle=None,
-           out=None, scratch=None) -> np.ndarray:
+           out=None, scratch=None, views=None) -> np.ndarray:
     """Apply the gate called ``name`` to ``qubits`` of ``amps``, into ``out`` if given.
 
     A ``cnot``'s ``qubits`` may be ``(controls, targets)``, a run of CNOTs
     (see ``kernel_cnot``).  ``scratch`` is RY's (see ``kernel_ry``);
-    the other gates ignore it.
+    the other gates ignore it.  ``views``, from ``_views`` for the same
+    arguments, spares the kernel building them.
     """
     if name == "h":
-        return kernel_h(amps, qubits[0], out)
+        return kernel_h(amps, qubits[0], out, _views=views)
     if name == "phase":
-        return kernel_phase(amps, angle, qubits[0], out)
+        return kernel_phase(amps, angle, qubits[0], out, _views=views)
     if name == "ry":
-        return kernel_ry(amps, angle, qubits[0], out, scratch)
+        return kernel_ry(amps, angle, qubits[0], out, scratch, _views=views)
     if name == "cnot":
-        return kernel_cnot(amps, qubits[0], qubits[1], out)
+        return kernel_cnot(amps, qubits[0], qubits[1], out, _views=views)
     raise UsageError(f"unknown gate {name!r}")
 
 

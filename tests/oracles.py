@@ -6,7 +6,11 @@ agreement between the two routes is meaningful.  The loss and gradient
 oracles write each loss formula and slope out themselves and reach the
 package only through its public predictions.  ``spsa_by_rows`` is SPSA
 one evaluation at a time, as the optimizer ran before it walked weight
-stacks.  ``load_csv_by_lines`` is
+stacks.  ``walk_by_gates`` is the circuit walk as the package ran it before
+it compiled walks: one gate at a time through the package's own kernels and
+rotation helpers, deciding every buffer and rotation as it goes, so that
+agreement with it pins the compilation rather than the arithmetic;
+``fitted_by_gates`` walks each weight row alone that way.  ``load_csv_by_lines`` is
 the reference CSV reader: one ``Sample`` per line, parsed and checked in
 file order, built into a ``Dataset`` through its ``Sample`` constructor.
 
@@ -352,3 +356,67 @@ def load_csv_by_lines(path):
     if not samples:
         raise DataFormatError("no data rows", line_number=1)
     return Dataset(tuple(samples), kind, generator, seed)
+
+
+def walk_by_gates(gates, amps: np.ndarray, work) -> np.ndarray:
+    """Bound ``gates`` applied in order to ``amps`` through ``work``, a ``qnn._Workspace``.
+
+    Each gate, CNOT run or rotation calls ``statevector._apply`` or
+    ``qnn._rotate`` as it is reached, into the walk buffer that does not
+    hold its input, with the bit rotation of a wide register chosen gate by
+    gate (``qnn._slow_positions``, ``qnn._rotation``).
+    """
+    from eqnn.qnn import _rotate, _rotation, _slow_positions
+    from eqnn.statevector import _apply
+
+    *buffers, scratch = work.views(amps)
+    if amps.flags.writeable:
+        amps = next((b for b in buffers if np.may_share_memory(amps, b)), amps)
+    n = amps.shape[0].bit_length() - 1
+    low, r = _slow_positions(amps), 0
+    run = []
+    for k, g in enumerate(gates):
+        if g.name == "cnot":
+            run.append(tuple((q + r) % n for q in g.qubits) if r else g.qubits)
+            if k + 1 < len(gates) and gates[k + 1].name == "cnot":
+                continue
+            qubits = tuple(zip(*run)) if len(run) > 1 else run[0]
+            amps = _apply(amps, "cnot", qubits, None, buffers[amps is buffers[0]])
+            run = []
+            continue
+        if low and (g.qubits[0] + r) % n < low:
+            rotation = _rotation(gates[k:], n, low)
+            amps = _rotate(amps, (rotation - r) % n, buffers[amps is buffers[0]])
+            r = rotation
+        angle = g.angle
+        if np.ndim(angle):
+            angle = angle.reshape(angle.shape + (1,) * (amps.ndim - 2))
+        qubits = tuple((q + r) % n for q in g.qubits) if r else g.qubits
+        amps = _apply(amps, g.name, qubits, angle, buffers[amps is buffers[0]], scratch)
+    if r:
+        amps = _rotate(amps, n - r, buffers[amps is buffers[0]])
+    return amps
+
+
+def fitted_by_gates(problem, W: np.ndarray) -> np.ndarray:
+    """``problem.fitted(W)`` with each weight row walked alone by ``walk_by_gates``.
+
+    Each row walks the variational circuit from all of ``problem.psi`` and
+    is squared as a prediction is (``qnn.probabilities_batch``), then read
+    out through the whole readout, one block of data rows at a time as the
+    problem reads (the product's summation order may follow the number of
+    rows): y' for squared error, P(label) for cross-entropy.
+    """
+    from eqnn.circuit import bind
+    from eqnn.qnn import CROSS_ENTROPY, _Workspace
+
+    fitted = []
+    for w in W:
+        amps = walk_by_gates(bind(problem.model.variational, (), w), problem.psi, _Workspace())
+        probs = np.empty(amps.shape[::-1])
+        np.square(np.abs(amps), out=probs.T)
+        value = np.concatenate([probs[rows] @ problem.readout for rows in problem.blocks])
+        if problem.kind == CROSS_ENTROPY:
+            value = np.where(problem.targets == 1, 1.0 - value, value)
+        fitted.append(value)
+    return np.array(fitted).reshape(len(W), problem.psi.shape[1])

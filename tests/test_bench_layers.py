@@ -16,9 +16,11 @@ import importlib.util
 import inspect
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import eqnn.cli  # noqa: F401  (imports every layer module)
 from eqnn import optim, qnn, statevector
@@ -76,9 +78,9 @@ def count_cnot_calls(monkeypatch) -> list:
     calls = []
     original = statevector.kernel_cnot
 
-    def spy(amps, control, target, out=None):
+    def spy(amps, control, target, out=None, _views=None):
         calls.append((control, target))
-        return original(amps, control, target, out)
+        return original(amps, control, target, out, _views=_views)
 
     monkeypatch.setattr(statevector, "kernel_cnot", spy)
     return calls
@@ -120,6 +122,47 @@ def count_calls(monkeypatch, *layers) -> list:
 
         monkeypatch.setattr(module, name, spy)
     return calls
+
+
+KERNELS = ("kernel_h", "kernel_phase", "kernel_ry", "kernel_cnot")
+
+
+def kernels_of(gates) -> Counter:
+    """The kernel each of ``gates`` runs in, once per gate and once per run of CNOTs."""
+    return Counter(
+        f"kernel_{g.name}" for k, g in enumerate(gates)
+        if not (g.name == "cnot" and k + 1 < len(gates) and gates[k + 1].name == "cnot")
+    )
+
+
+@pytest.mark.parametrize("name", qnn.MODEL_NAMES)
+def test_every_walk_reaches_each_kernel_by_module_name_once_per_gate(monkeypatch, name):
+    # A compiled walk runs its steps through ``qnn._apply``, which calls each
+    # kernel by its ``statevector`` name, so the benchmark's kernel layers see
+    # every gate of a loss, of an SPSA stack and of a prediction once (1000
+    # rows are one block), and every step of a gradient's forked legs once.
+    model = build_model(name)
+    dataset = gen_two_class_usage(per_class=500, seed=3)
+    problem = qnn._Problem(model, dataset, CROSS_ENTROPY)
+    w = initial_weights(model.n_weights, seed=3)
+    calls = count_calls(monkeypatch, *((statevector, kernel) for kernel in KERNELS))
+    batch_loss(model, w, dataset, CROSS_ENTROPY, _problem=problem)
+    assert Counter(calls) == kernels_of(model.variational.gates)
+    calls.clear()
+    qnn.batch_losses(model, np.vstack([w, w + 0.1, w - 0.1]), dataset, CROSS_ENTROPY,
+                     _problem=problem)
+    assert Counter(calls) == kernels_of(model.variational.gates)
+    calls.clear()
+    qnn.predict_probs(model, dataset.features_array(), w)
+    assert Counter(calls) == kernels_of(model.circuit.gates)
+    calls.clear()
+    optim.parameter_shift_gradient(model, w, dataset, CROSS_ENTROPY, _problem=problem)
+    (_, _, legs, _), = (plan for key, plan in problem.work.plans.items() if key[0][0] > 3)
+    steps = Counter(f"kernel_{step[0]}" for leg_steps, _, _ in legs for step in leg_steps)
+    assert Counter(calls) == steps
+    gates = kernels_of(model.variational.gates)
+    assert all(steps[kernel] >= count for kernel, count in gates.items())
+    assert steps["kernel_ry"] > gates["kernel_ry"]  # the legs of the shifted rows
 
 
 def test_an_aqgd_run_reaches_the_gradient_and_loss_layers(monkeypatch):

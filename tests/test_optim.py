@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -906,6 +908,75 @@ def test_objective_encodes_and_reads_out_once(monkeypatch, model, dataset, kind)
         objective.fun(w)
         objective.value_and_grad(w)
     assert calls == built
+
+
+def test_an_aqgd_run_compiles_its_gradient_plan_once(monkeypatch):
+    # Every gradient of a run has the same stack pattern (w and its 2m
+    # shifts), so five steps compile one gradient walk; the last iterate's
+    # plain loss compiles one more.
+    stacks = []
+    original = qnn._legs
+
+    def spy(gates, differs, per_block):
+        stacks.append(len(differs))
+        return original(gates, differs, per_block)
+
+    monkeypatch.setattr(qnn, "_legs", spy)
+    model = build_model("eqnn2")
+    objective = make_objective(model, gen_two_class_usage(per_class=10, seed=5), CROSS_ENTROPY)
+    w0 = initial_weights(model.n_weights, seed=5)
+    minimize(objective, w0, OptimizerConfig(kind="aqgd", max_iters=5))
+    assert stacks == [2 * model.n_weights + 1, 1]
+
+
+def test_a_grown_workspace_drops_its_plans_and_compiles_them_again(monkeypatch):
+    # A loss compiles a one-row walk; a gradient grows the workspace to its
+    # 2m+1 rows, which drops that plan, whose views point into the smaller
+    # buffers; the next loss compiles again and gives the same bits.
+    works = []
+    init = qnn._Workspace.__init__
+
+    def spy(work):
+        init(work)
+        works.append(work)
+
+    monkeypatch.setattr(qnn._Workspace, "__init__", spy)
+    model = build_model("eqnn3")
+    objective = make_objective(model, gen_two_class_usage(per_class=10, seed=6), CROSS_ENTROPY)
+    (work,) = works
+    w = initial_weights(model.n_weights, seed=6)
+    loss, grown = objective.fun(w), work.grown
+    assert [key[0] for key in work.plans] == [(1, model.n_weights)]
+    objective.value_and_grad(w)
+    assert work.grown > grown
+    assert [key[0] for key in work.plans] == [(2 * model.n_weights + 1, model.n_weights)]
+    assert objective.fun(w) == loss
+    assert len(work.plans) == 2
+
+
+def test_dropping_an_objective_frees_its_plans_and_their_buffers(monkeypatch):
+    # Plans belong to their problem's workspace: once the objective is gone,
+    # nothing else holds the walk buffers, the snapshot or a plan's angles.
+    works = []
+    init = qnn._Workspace.__init__
+
+    def spy(work):
+        init(work)
+        works.append(weakref.ref(work))
+
+    monkeypatch.setattr(qnn._Workspace, "__init__", spy)
+    model = build_model("benchmark")
+    objective = make_objective(model, gen_two_class_usage(per_class=10, seed=7), CROSS_ENTROPY)
+    w = initial_weights(model.n_weights, seed=7)
+    objective.value_and_grad(w)
+    objective.fun(w)
+    work = works[0]()
+    arrays = list(work._bytes) + [work._snapshot] + [plan[1] for plan in work.plans.values()]
+    assert len(arrays) == 3 + 1 + 2
+    refs = [weakref.ref(array) for array in arrays] + [works[0]]
+    del work, arrays, objective
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_objective_evaluates_through_the_public_loss_and_gradient(monkeypatch):

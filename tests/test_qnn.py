@@ -614,10 +614,11 @@ def test_contracted_values_equal_public_predictions_bit_for_bit(problem, data):
 
 
 @st.composite
-def forked_stacks(draw, w):
-    """``w`` and up to six rows that keep a prefix of it: shifts, new suffixes, copies, duplicates."""
+def forked_stacks(draw, w, extra=6):
+    """``w`` and up to ``extra`` rows that keep a prefix of it: shifts, new suffixes, copies,
+    duplicates."""
     stack = [w]
-    for _ in range(draw(st.integers(0, 6))):
+    for _ in range(draw(st.integers(0, extra))):
         row = draw(st.sampled_from(stack)).copy()  # a copy of w or a duplicate of a row
         if len(w) and draw(st.booleans()):
             j = draw(st.integers(0, len(w) - 1))
@@ -679,6 +680,60 @@ def test_forked_rows_of_a_block_wide_weight_row_equal_their_own_walks(name):
     suffix[5:] = 0.25
     W = np.vstack([w, w + shifts[2], w, suffix, w - shifts[7], suffix, w + shifts[0]])
     assert_rows_walk_as_alone(problem, W)
+
+
+def assert_compiled_walk_equals_the_gate_by_gate_walk(model, kind, dataset, W, blocks, stack):
+    """Build the problem of ``model`` with ``_BLOCK_BYTES`` set so that its rows span
+    ``blocks`` blocks, of which the first holds ``stack`` weight rows, and hold each
+    fitted value to ``oracles.fitted_by_gates``.  The same problem then takes ``W``
+    upside down, a stack of the same shape that leaves another row 0 elsewhere, and
+    ``W`` again, so that a plan kept for one stack pattern serves no other."""
+    row = qnn._walk_dtype(float, model.circuit.gates).itemsize << model.n_qubits
+    per_block = -(-len(dataset) // blocks)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qnn, "_BLOCK_BYTES", row * per_block * (stack if blocks == 1 else 1))
+        problem = qnn._Problem(model, dataset, kind)
+        assert len(problem.blocks) == blocks or per_block * (blocks - 1) >= len(dataset)
+        stacks = (W, W[::-1], W)
+        fitted = [problem.fitted(S) for S in stacks]
+    for S, values in zip(stacks, fitted):
+        assert values.tobytes() == oracles.fitted_by_gates(problem, S).tobytes()
+
+
+@settings(max_examples=80)
+@given(problem=strategies.problems(strategies.ANY_MODELS), data=st.data())
+def test_compiled_walks_equal_the_gate_by_gate_walk_bit_for_bit(problem, data):
+    # Every model the package builds and random circuits on 1-4 qubits, real
+    # or complex, under stacks of 1-17 weight rows with forked, copied and
+    # duplicate rows, over data rows in 1-3 blocks, or in one block holding
+    # 1-17 weight rows: each fitted value, walked by a plan compiled once,
+    # equals that row's walk gate by gate, bit for bit.
+    model, kind, w, dataset = problem
+    W = data.draw(forked_stacks(w, extra=16))
+    blocks = data.draw(st.integers(1, min(3, len(dataset))))
+    stack = data.draw(st.integers(1, 17))
+    assert_compiled_walk_equals_the_gate_by_gate_walk(model, kind, dataset, W, blocks, stack)
+
+
+@settings(max_examples=8)
+@given(n=st.integers(14, 17), phase=st.booleans(), data=st.data())
+def test_compiled_walks_of_rotated_registers_equal_the_gate_by_gate_walk(n, phase, data):
+    # RealAmplitudes on 14-17 qubits from an RY encoder, and a phase gate
+    # that makes the walk complex: one or two data rows, each a block of
+    # its own, rotate the register many times in every leg.
+    encoder = tuple(Gate("ry", (q,), (q + 1) * Input(0)) for q in range(n))
+    encoder += (Gate("phase", (0,), Input(0)),) if phase else ()
+    model = QnnModel("wide", Circuit(n, encoder), build_real_amplitudes(n, 1), PARITY)
+    X = data.draw(strategies.rows(data.draw(st.integers(1, 2)), 1))
+    dataset = Dataset(tuple(Sample(tuple(x), i % 2) for i, x in enumerate(X.tolist())),
+                      "classification", "drawn", 0)
+    W = data.draw(forked_stacks(data.draw(strategies.weights(model.n_weights)), extra=2))
+    rotations, rotate = [], qnn._rotate
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qnn, "_rotate", lambda *args: rotations.append(args[1]) or rotate(*args))
+        assert_compiled_walk_equals_the_gate_by_gate_walk(
+            model, CROSS_ENTROPY, dataset, W, len(X), 1)
+    assert rotations
 
 
 def test_wide_register_loss_stays_within_a_few_states():
