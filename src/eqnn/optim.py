@@ -170,7 +170,8 @@ class _Counted:
 
 def initial_weights(n_weights: int, seed: int) -> np.ndarray:
     """Seeded uniform draw on [-pi, pi]."""
-    _checked_integer(n_weights, "n_weights")
+    if _checked_integer(n_weights, "n_weights") < 0:
+        raise UsageError(f"n_weights must be non-negative, got {n_weights}")
     return np.random.default_rng(_checked_seed(seed)).uniform(-math.pi, math.pi, n_weights)
 
 
@@ -327,7 +328,7 @@ def parameter_shift_gradient(
     """
     if _problem is None or not _problem.shift_checked:
         _check_shift_precondition(model)
-    w = qnn._weight_row(w)
+    w = qnn._weight_rows(w, model)
     if _problem is None:
         _problem = qnn._Problem(model, dataset, kind)
     _problem.shift_checked = True
@@ -348,7 +349,7 @@ def make_objective(model: qnn.QnnModel, dataset, kind: str) -> Objective:
     """Batch loss over a dataset as a minimization objective on one ``qnn._Problem``.
 
     Every evaluation walks from that problem and writes into its one
-    workspace, which its first gradient grows to fit the 2m+1 weight rows.
+    workspace, sized when the problem is built for its largest block.
     ``value_and_grad`` is one such gradient, with the loss of its base row,
     and ``values`` one walk of a stack of weight rows (``qnn.batch_losses``).
     """

@@ -24,12 +24,14 @@ compiled, then run: ``_compile`` turns the gates into steps over fixed
 sources and outputs in a ``_Workspace`` (two walk buffers, RY's scratch
 of one tile and its cos and sin planes for per-row angles, see
 ``statevector.kernel_ry``), and ``_run`` hands each step to ``_apply``,
-which calls the public ``statevector.kernel_*`` by name.  There is one
-rule: walk the bound circuit from |0...0> (``_amplitudes``), a batch in
-blocks of rows of at most 256 KB (``_BLOCK_BYTES``).  ``simulate`` walks
-one row; a prediction walks the model circuit bound to each block of
-rows and the weight row, and squares the block straight into its
-output.  Such one-shot walks leave each kernel to build its own views.
+which calls the public ``statevector.kernel_*`` by name.  Each call or
+training problem owns one workspace, sized once for its largest block;
+it never grows.  There is one rule: walk the bound circuit from |0...0>
+(``_amplitudes``), a batch in blocks of rows of at most 256 KB
+(``_BLOCK_BYTES``).  ``simulate`` walks one row; a prediction walks the
+model circuit bound to each block of rows and the weight row, and
+squares the block straight into its output (``_square``).  Such
+one-shot walks leave each kernel to build its own views.
 
 Only a training problem (``_Problem``: one model, dataset and loss kind)
 caches the weight-free feature map's states (``_encode``, a ``(2**n, N)``
@@ -42,19 +44,20 @@ B' whole weight rows over all N data rows while one weight row's states
 fit in a block, else one weight row over as many data rows as fit.  A
 row walks only from where its angles leave row 0's (``_forks``,
 ``_legs``): a row shifted in a later layer of the ansatz starts from a
-copy of row 0's state there, in the workspace's snapshot block.  The
-problem compiles these legs once per stack pattern, which rows leave row
-0 at which weights (``_Problem._plan``): each gate's angle source (a
-weight column or a fixed float), the bit positions and rotations, and
-every kernel's views (``statevector._views``), checked then.  An
-evaluation only gathers its angles into the plan and runs its steps, and
-each walked block is squared into the spare walk buffer for the head's
-readout: only the one or two amplitudes a parity readout counts, else
-all of them.  Plans live in the problem's workspace and are dropped when
-it grows.  No returned array is a view into a workspace.  A batch row is
-identical to one-at-a-time simulation, every fitted value, forked or
-not, to the public prediction, and a wide register needs no
-``2**n x 2**n`` matrix.
+copy of row 0's state there, in the workspace's snapshot block, and a
+row equal to row 0 is not walked at all.  The problem compiles these
+legs once per stack pattern, which rows leave row 0 at which weights
+(``_Problem._plan``): each gate's angle source (a weight column or a
+fixed float), the bit positions and rotations, and every kernel's views
+(``statevector._views``), checked then.  An evaluation only gathers its
+angles into the plan and runs its steps, and each walked block is
+squared into the spare walk buffer for the head's readout: only the one
+or two amplitudes a parity readout counts, else all of them.  The
+problem keeps its plans (``_Problem.plans``), whose views stay valid
+because its workspace never grows.  No returned array is a view into a
+workspace.  A batch row is identical to one-at-a-time simulation, every
+fitted value, forked or not, to the public prediction, and a wide
+register needs no ``2**n x 2**n`` matrix.
 
 A walk hands each run of consecutive CNOTs, such as a ``RealAmplitudes``
 chain, to one ``kernel_cnot`` call: one gather of the whole run, at about
@@ -209,7 +212,7 @@ def _as(buffer: np.ndarray, shape: tuple, dtype) -> np.ndarray:
 
 
 class _Workspace:
-    """Flat bytes that walks write into, grown to the largest walk given so far.
+    """Flat bytes that walks write into, sized once for the largest walk of their owner.
 
     Two walk buffers of one block each, which the gates write in turn,
     and RY's scratch: one kernel tile for its second product (at most
@@ -217,36 +220,23 @@ class _Workspace:
     of one amplitude's batch for its per-row cos and sin (see
     ``statevector.kernel_ry``).  That is two blocks, one tile and two
     planes, as three arrays, so a walk's result keeps only its own
-    buffer alive.  A forked walk (``_Problem.fitted``) also keeps one
-    snapshot block, a fourth array made on its first use: row 0's state
-    at a fork, which the walks from it read and never write.
-
-    ``plans`` holds the compiled walks of a training problem, whose views
-    point into these arrays; growing any array drops them all, and counts
-    one more in ``grown``.
+    buffer alive.  They are sized for ``block``, a training problem's
+    largest, or else for the first walk given, a one-shot call's first
+    and largest block, and never grow.  A forked walk (``_Problem.fitted``)
+    also keeps one snapshot block, a fourth array made on its first use:
+    row 0's state at a fork, which the walks from it read and never write.
     """
 
-    def __init__(self):
-        self._bytes = (np.empty(0, np.uint8),) * 3
-        self._snapshot = np.empty(0, np.uint8)
-        self.plans: dict = {}
-        self.grown = 0
-
-    def _drop_plans(self) -> None:
-        self.plans.clear()
-        self.grown += 1
+    def __init__(self, block: np.ndarray | None = None):
+        self._bytes = self._snapshot = None
+        if block is not None:
+            self.views(block)
 
     def views(self, amps: np.ndarray) -> list[np.ndarray]:
         """The two walk buffers shaped like ``amps``, then RY's scratch, ``(k + 2, *batch)``."""
-        k = _tile_amplitudes(amps)
-        tile = (k + 2) * amps.nbytes // amps.shape[0]
-        first, scratch = self._bytes[0].size, self._bytes[2].size
-        if first < amps.nbytes or scratch < tile:
-            sizes = (max(first, amps.nbytes),) * 2 + (max(scratch, tile),)
-            self._drop_plans()
-            self._bytes = ()  # release the smaller arrays before allocating
-            self._bytes = tuple(np.empty(size, np.uint8) for size in sizes)
-        shapes = (amps.shape, amps.shape, (k + 2,) + amps.shape[1:])
+        shapes = (amps.shape, amps.shape, (_tile_amplitudes(amps) + 2,) + amps.shape[1:])
+        if self._bytes is None:
+            self._bytes = tuple(np.empty(math.prod(s) * amps.itemsize, np.uint8) for s in shapes)
         return [_as(b, s, amps.dtype) for b, s in zip(self._bytes, shapes)]
 
     def spare(self, amps: np.ndarray) -> np.ndarray:
@@ -255,10 +245,8 @@ class _Workspace:
         return second if np.may_share_memory(first, amps) else first
 
     def snapshot(self, amps: np.ndarray) -> np.ndarray:
-        """The snapshot block, which no walk writes, shaped like ``amps``."""
-        if self._snapshot.size < amps.nbytes:
-            self._drop_plans()
-            self._snapshot = np.empty(0, np.uint8)  # release the smaller block first
+        """The snapshot block, which no walk writes, shaped like ``amps``, the first the largest."""
+        if self._snapshot is None:
             self._snapshot = np.empty(amps.nbytes, np.uint8)
         return _as(self._snapshot, amps.shape, amps.dtype)
 
@@ -453,14 +441,28 @@ def _encode(model: QnnModel, X: np.ndarray, work: _Workspace) -> np.ndarray:
     return psi
 
 
-def _weight_row(w) -> np.ndarray:
-    """``w`` as one float weight row; refuses any other shape or a non-finite weight."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1:
-        raise UsageError(f"expected one weight row, got shape {w.shape}")
-    if not np.isfinite(w).all():
-        raise UsageError(f"weight {int(np.argmin(np.isfinite(w)))} is not finite")
-    return w
+def _weight_rows(W, model: QnnModel, ndim: int = 1) -> np.ndarray:
+    """``W`` as one float weight row of ``model`` (``ndim`` 1) or a stack of them (2); refuses
+    any other shape or width, naming the shape given, then a non-finite weight, naming it."""
+    W = np.asarray(W, dtype=float)
+    if W.ndim != ndim:
+        expected = "one weight row" if ndim == 1 else "a stack of weight rows"
+        raise UsageError(f"expected {expected}, got shape {W.shape}")
+    if W.shape[-1] != model.n_weights:
+        raise UsageError(f"model needs {model.n_weights} weights per row, got shape {W.shape}")
+    if not np.isfinite(W).all():
+        *row, j = np.argwhere(~np.isfinite(W))[0]
+        where = f"weight {j} of row {row[0]}" if row else f"weight {j}"
+        raise UsageError(f"{where} is not finite")
+    return W
+
+
+def _square(amps: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``|amps|**2`` into the float ``out``: ``np.abs`` first if complex, since the square of
+    a real amplitude has the bits of the square of its abs."""
+    if amps.dtype.kind == "c":
+        amps = np.abs(amps, out=out)
+    return np.square(amps, out=out)
 
 
 def probabilities_batch(model: QnnModel, X, w) -> np.ndarray:
@@ -471,18 +473,14 @@ def probabilities_batch(model: QnnModel, X, w) -> np.ndarray:
     Refuses a non-finite feature or weight, naming its row or index.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    w = _weight_row(w)
+    w = _weight_rows(w, model)
     if not np.isfinite(X).all():
         row = int(np.argwhere(~np.isfinite(X))[0, 0])
         raise UsageError(f"input row {row} has a non-finite feature")
     dim = 1 << model.n_qubits
     out, work = np.empty((len(X), dim)), _Workspace()
     for rows in _blocks(len(X), dim * _walk_dtype(float, model.circuit.gates).itemsize):
-        t = out[rows].T  # amplitude-first, like the walked block
-        amps = _amplitudes(model.circuit, X[rows], w, work)
-        if amps.dtype.kind == "c":
-            amps = np.abs(amps, out=t)
-        np.square(amps, out=t)  # of a real amplitude, the same bits as of its abs
+        _square(_amplitudes(model.circuit, X[rows], w, work), out[rows].T)  # amplitude-first
     return out
 
 
@@ -510,7 +508,7 @@ def forward(model: QnnModel, x, w) -> Regression | ClassProbs:
 # Losses and metrics
 
 
-def _forks(gates, differs: np.ndarray):
+def _forks(gates, differs: np.ndarray) -> tuple[list, list]:
     """Where each weight row of ``gates`` leaves row 0's walk.
 
     ``differs[b, k]`` says whether row ``b``'s angle at gate ``k`` may have
@@ -519,9 +517,8 @@ def _forks(gates, differs: np.ndarray):
     first such gate lies in a run of one-qubit gates, and the row starts at
     the first gate of that run (any CNOTs before the first run belong to
     it): before its start a row's walk is row 0's, gate for gate, bit for
-    bit.  A row whose every angle is row 0's starts at ``len(gates)``.
-    Returns ``None`` instead when no row starts after the first run and
-    before the end.
+    bit.  A row whose every angle is row 0's, row 0 itself included,
+    starts at ``len(gates)``.
     """
     runs, run, single = [], 0, False  # the start of each gate's run
     for k, g in enumerate(gates):
@@ -530,17 +527,10 @@ def _forks(gates, differs: np.ndarray):
         elif single:
             run = k + 1
         runs.append(run)
-    varying = [k for k, g in enumerate(gates) if isinstance(g.angle, np.ndarray)]
-    if not any(runs[k] for k in varying):
-        return None
-    if not runs[varying[0]] and differs[1:, varying[0]].all():
-        return None  # every row leaves row 0 at its first varying gate
     starts, leaving = [len(gates)] * len(differs), [set() for _ in gates]
     for b, k in zip(*np.nonzero(differs)):
         leaving[k].add(int(b))
         starts[b] = min(starts[b], runs[k])
-    if not any(0 < start < len(gates) for start in starts):
-        return None
     return starts, leaving
 
 
@@ -554,24 +544,20 @@ def _legs(gates, differs: np.ndarray, per_block: int) -> tuple[list, list]:
     row's, into the snapshot (``snap``), or read ``rows`` out (``read``).
     ``picks`` holds, for each of those gates, the rows whose angles it
     takes, or ``None`` for a fixed angle.  ``same`` are row 0 and the rows
-    equal to it, which take its values.
+    equal to it, which take its values and are not walked.
 
-    When no row leaves row 0 after the first run (``_forks``), every row
-    walks from the start.  Otherwise the rows of each start walk from row
-    0's state there, and row 0 walks from start to start, in the last
-    block of the rows of each start if it has room, else on its own.  A
-    block that carries it on to the next start leaves a copy of its state
-    there, and goes on to the end.  A gate where none of a leg's rows
-    leaves row 0 takes row 0's angle alone, which the kernel broadcasts:
-    the same products as a whole plane of it.
+    The rows of each start (``_forks``) walk from row 0's state there, and
+    row 0 walks from start to start, in the last block of the rows of each
+    start if it has room, else on its own.  A block that carries it on to
+    the next start leaves a copy of its state there, and goes on to the
+    end.  When every row starts at gate 0, as in an SPSA stack or a single
+    loss, that is one start: the rows walk from the start in blocks, row 0
+    among the last.  A gate where none of a leg's rows leaves row 0 takes
+    row 0's angle alone, which the kernel broadcasts: the same products as
+    a whole plane of it.
     """
-    batch, varying = len(differs), [isinstance(g.angle, np.ndarray) for g in gates]
-    forks = _forks(gates, differs) if batch > 1 else None
-    if forks is None:
-        chunks = [list(range(i, min(i + per_block, batch))) for i in range(0, batch, per_block)]
-        return [(0, len(gates), rows, [rows if v else None for v in varying], False, False, True)
-                for rows in chunks], [0]
-    starts, leaving = forks
+    varying = [isinstance(g.angle, np.ndarray) for g in gates]
+    starts, leaving = _forks(gates, differs)
 
     def take(lo: int, hi: int, rows: list) -> tuple:
         """``gates[lo:hi]`` for ``rows``."""
@@ -606,8 +592,9 @@ class _Problem:
     """One model, dataset and loss kind, validated, encoded and read out once.
 
     Holds the encoded rows ``psi``, the workspace that their encode and
-    every later walk write into, with the compiled walks of the weight
-    stacks (``_plan``), the targets and the head's readout.
+    every later walk write into, sized first for the largest block, the
+    compiled walks of the weight stacks (``plans``, see ``_plan``), the
+    targets and the head's readout.
     """
 
     def __init__(self, model: QnnModel, dataset, kind: str):
@@ -628,11 +615,15 @@ class _Problem:
             )
         self.model, self.kind = model, kind
         self.shift_checked = False  # set by ``optim`` once the shift rule's precondition holds
-        self.work = _Workspace()
-        self.psi = _encode(model, X, self.work)
         # The data rows of a block, and the weight rows it holds over them.
-        self.blocks = _blocks(len(X), self.psi.itemsize * self.psi.shape[0])
-        self.stack = max(1, _BLOCK_BYTES // self.psi[:, self.blocks[0]].nbytes)
+        dtype, dim = _walk_dtype(float, model.circuit.gates), 1 << model.n_qubits
+        self.blocks = _blocks(len(X), dtype.itemsize * dim)
+        rows = min(len(X), self.blocks[0].stop)
+        self.stack = max(1, _BLOCK_BYTES // (dtype.itemsize * dim * rows))
+        # The largest block, (2**n, stack, rows of block 0), as a view of no data.
+        self.work = _Workspace(np.broadcast_to(np.empty((), dtype), (dim, self.stack, rows)))
+        self.plans: dict = {}
+        self.psi = _encode(model, X, self.work)
         signs = parity_signs(model.n_qubits)
         self.readout = signs if kind == SQUARED_ERROR else np.where(signs > 0, 1.0, 0.0)
         # A readout of |0...0>'s +1 and at most one more +-1 is that square, or the
@@ -713,7 +704,7 @@ class _Problem:
         bits = W.view(np.uint64)
         differ = bits != bits[:1]
         key = (W.shape, differ.tobytes())
-        plan = self.work.plans.get(key)
+        plan = self.plans.get(key)
         if plan is not None:
             return plan
         gates = bind(self.model.variational, (), W)
@@ -732,14 +723,11 @@ class _Problem:
         angles = np.empty(len(index))
         thetas = [[angles[t].reshape(-1, 1) if isinstance(t, slice) else t for t in leg]
                   for leg in thetas]
-        grown = None
-        while grown != self.work.grown:  # build again if the workspace grew meanwhile
-            grown = self.work.grown
-            compiled = [step for rows in self.blocks
-                        for step in self._compile_block(gates, legs, thetas, rows)]
-        if len(self.work.plans) >= _PLANS_KEPT:
-            del self.work.plans[next(iter(self.work.plans))]
-        plan = self.work.plans[key] = (np.array(index, np.intp), angles, compiled, same)
+        compiled = [step for rows in self.blocks
+                    for step in self._compile_block(gates, legs, thetas, rows)]
+        if len(self.plans) >= _PLANS_KEPT:
+            del self.plans[next(iter(self.plans))]
+        plan = self.plans[key] = (np.array(index, np.intp), angles, compiled, same)
         return plan
 
     def _compile_block(self, gates, legs, thetas, rows: slice) -> list:
@@ -756,35 +744,29 @@ class _Problem:
         return compiled
 
     def _reader(self, amps: np.ndarray, which: list, rows: slice) -> tuple:
-        """``(amps, squares, terms, which, rows)``: how ``_read`` reads ``amps`` out.
+        """``(squares, terms, which, rows)``: how ``_read`` reads ``amps`` out.
 
-        The squares go into the spare walk buffer: all of them, amplitude-last,
-        for the readout's product, or only the ``terms`` of the readout, each
-        ``(amplitudes, square)`` as whole planes.
+        The squares go into the spare walk buffer, from each ``(amplitudes,
+        square)`` of ``terms``: all of them as one, amplitude-last, for the
+        readout's product, or only the readout's terms, as whole planes.
         """
         spare = self.work.spare(amps)
         if which == list(range(which[0], which[-1] + 1)):
             which = slice(which[0], which[-1] + 1)
         if self.terms is None:
-            return amps, _as(spare, amps.shape[1:] + amps.shape[:1], float), None, which, rows
+            squares = _as(spare, amps.shape[1:] + amps.shape[:1], float)
+            return squares, [(amps, squares.transpose(2, 0, 1))], which, rows
         squares = _as(spare, (len(self.terms),) + amps.shape[1:], float)
-        terms = [(amps[i], square) for i, square in zip(self.terms, squares)]
-        return amps, squares, terms, which, rows
+        return squares, [(amps[i], square) for i, square in zip(self.terms, squares)], which, rows
 
     def _read(self, read: tuple, fitted: np.ndarray) -> None:
         """Square the walked amplitudes and read them out into ``fitted[which, rows]``."""
-        amps, squares, terms, which, rows = read
-        if terms is None:
-            probs, squares = squares, squares.transpose(2, 0, 1)  # amplitude-first, like amps
-            if amps.dtype.kind == "c":
-                amps = np.abs(amps, out=squares)
-            np.square(amps, out=squares)  # of a real amplitude, the same bits as of its abs
-            fitted[which, rows] = probs @ self.readout
-            return
+        squares, terms, which, rows = read
         for a, square in terms:
-            if a.dtype.kind == "c":
-                a = np.abs(a, out=square)
-            np.square(a, out=square)
+            _square(a, square)
+        if self.terms is None:
+            fitted[which, rows] = squares @ self.readout
+            return
         if len(terms) == 2:
             self.combine(squares[0], squares[1], out=squares[0])
         fitted[which, rows] = squares[0]
@@ -815,16 +797,12 @@ def batch_losses(model: QnnModel, W, dataset, kind: str, *, _problem=None) -> np
     The stack walks in groups of as many weight rows as one block holds
     (``_Problem.fitted``), so that its fitted values take no more memory
     than one block's walk: at 8000 rows each weight row walks alone, as a
-    single loss does.  Each loss is bit for bit that of its row alone.  Refuses a non-finite weight, or any shape but
-    a stack of rows, first.  ``_problem`` is the caller's ``_Problem`` for
-    these arguments; without it one is built for this call.
+    single loss does.  Each loss is bit for bit that of its row alone.
+    Refuses any shape but a stack of rows of the model's width, or a
+    non-finite weight, first.  ``_problem`` is the caller's ``_Problem``
+    for these arguments; without it one is built for this call.
     """
-    W = np.asarray(W, dtype=float)
-    if W.ndim != 2:
-        raise UsageError(f"expected a stack of weight rows, got shape {W.shape}")
-    if not np.isfinite(W).all():
-        row, j = np.argwhere(~np.isfinite(W))[0]
-        raise UsageError(f"weight {j} of row {row} is not finite")
+    W = _weight_rows(W, model, ndim=2)
     if _problem is None:
         _problem = _Problem(model, dataset, kind)
     return np.array([
@@ -837,10 +815,11 @@ def batch_losses(model: QnnModel, W, dataset, kind: str, *, _problem=None) -> np
 def batch_loss(model: QnnModel, w, dataset, kind: str, *, _problem=None) -> float:
     """Arithmetic mean of per-sample losses over a dataset (see ``_loss``).
 
-    The one-row case of ``batch_losses``.  Refuses a non-finite weight, or
-    more than one row of them, first.
+    The one-row case of ``batch_losses``.  Refuses any shape but one row
+    of the model's width, or a non-finite weight, first.
     """
-    return float(batch_losses(model, _weight_row(w)[None], dataset, kind, _problem=_problem)[0])
+    W = _weight_rows(w, model)[None]
+    return float(batch_losses(model, W, dataset, kind, _problem=_problem)[0])
 
 
 def decide(p0, p1):

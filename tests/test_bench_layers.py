@@ -157,7 +157,7 @@ def test_every_walk_reaches_each_kernel_by_module_name_once_per_gate(monkeypatch
     assert Counter(calls) == kernels_of(model.circuit.gates)
     calls.clear()
     optim.parameter_shift_gradient(model, w, dataset, CROSS_ENTROPY, _problem=problem)
-    (_, _, legs, _), = (plan for key, plan in problem.work.plans.items() if key[0][0] > 3)
+    (_, _, legs, _), = (plan for key, plan in problem.plans.items() if key[0][0] > 3)
     steps = Counter(f"kernel_{step[0]}" for leg_steps, _, _ in legs for step in leg_steps)
     assert Counter(calls) == steps
     gates = kernels_of(model.variational.gates)

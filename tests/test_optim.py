@@ -159,6 +159,9 @@ SIZED_CALLS = {
         lambda: gen_two_class_usage(2.5, 0), "per_class must be an integer, got 2.5"
     ),
     "initial_weights": (lambda: initial_weights(2.5, 0), "n_weights must be an integer, got 2.5"),
+    "initial_weights negative": (
+        lambda: initial_weights(-1, 0), "n_weights must be non-negative, got -1"
+    ),
 }
 
 
@@ -166,7 +169,8 @@ SIZED_CALLS = {
 def test_sized_calls_reject_a_non_integer_size(call, message):
     # A register size, qubit index, repetition or sample count that is not
     # an integer is refused up front with the package's own error, naming
-    # the parameter, not accepted or left to fail in numpy with a TypeError.
+    # the parameter, not accepted or left to fail in numpy with a TypeError;
+    # so is a negative weight count, which numpy refuses with a ValueError.
     with pytest.raises(EqnnError, match=message):
         call()
 
@@ -813,8 +817,8 @@ def test_shift_gradient_rejects_invalid_weight_placement():
         )
 
 
-def test_shift_gradient_checks_model_and_weights_before_encoding(monkeypatch):
-    # An unsupported model or a 2-D ``w`` is refused before the dataset is encoded.
+def spy_on_encodes(monkeypatch) -> list:
+    """The list that gets one entry per ``qnn._encode`` call from now on."""
     encodes = []
     original = qnn._encode
 
@@ -823,6 +827,13 @@ def test_shift_gradient_checks_model_and_weights_before_encoding(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(qnn, "_encode", spy)
+    return encodes
+
+
+def test_shift_gradient_checks_model_and_weights_before_encoding(monkeypatch):
+    # An unsupported model, a 2-D ``w`` or a ``w`` of the wrong width is
+    # refused before the dataset is encoded, naming the shape passed.
+    encodes = spy_on_encodes(monkeypatch)
     dataset = one_sample(0.2, 0.1)
     fm = Circuit(1, (Gate("ry", (0,), Input(0)),))
     tied = Circuit(1, (Gate("ry", (0,), Weight(0)), Gate("ry", (0,), Weight(0))))
@@ -832,6 +843,23 @@ def test_shift_gradient_checks_model_and_weights_before_encoding(monkeypatch):
         )
     with pytest.raises(UsageError, match="one weight row"):
         parameter_shift_gradient(simplified_model(), [[0.1]], dataset, SQUARED_ERROR)
+    with pytest.raises(UsageError, match=r"needs 1 weights per row, got shape \(2,\)$"):
+        parameter_shift_gradient(simplified_model(), [0.1, 0.2], dataset, SQUARED_ERROR)
+    classes = gen_two_class_usage(per_class=3, seed=1)
+    with pytest.raises(UsageError, match=r"needs 4 weights per row, got shape \(5,\)$"):
+        parameter_shift_gradient(build_model("eqnn1"), np.zeros(5), classes, CROSS_ENTROPY)
+    assert encodes == []
+
+
+def test_losses_check_weight_width_before_encoding(monkeypatch):
+    # A weight row or stack of the wrong width is refused before the dataset
+    # is encoded, naming the shape passed, not the stack walked.
+    encodes = spy_on_encodes(monkeypatch)
+    model, classes = build_model("eqnn1"), gen_two_class_usage(per_class=3, seed=1)
+    with pytest.raises(UsageError, match=r"needs 4 weights per row, got shape \(5,\)$"):
+        batch_loss(model, np.zeros(5), classes, CROSS_ENTROPY)
+    with pytest.raises(UsageError, match=r"needs 4 weights per row, got shape \(3, 5\)$"):
+        qnn.batch_losses(model, np.zeros((3, 5)), classes, CROSS_ENTROPY)
     assert encodes == []
 
 
@@ -929,52 +957,66 @@ def test_an_aqgd_run_compiles_its_gradient_plan_once(monkeypatch):
     assert stacks == [2 * model.n_weights + 1, 1]
 
 
-def test_a_grown_workspace_drops_its_plans_and_compiles_them_again(monkeypatch):
-    # A loss compiles a one-row walk; a gradient grows the workspace to its
-    # 2m+1 rows, which drops that plan, whose views point into the smaller
-    # buffers; the next loss compiles again and gives the same bits.
-    works = []
-    init = qnn._Workspace.__init__
+def test_a_problem_allocates_its_walk_buffers_once(monkeypatch):
+    # The workspace is sized for the largest block before the encode, so the
+    # encode, a loss, a gradient's 2m+1 rows, a 40-row SPSA stack and a second
+    # loss all walk in the same arrays, and no plan is dropped for larger
+    # ones: the second loss runs the first loss's plan again.
+    buffers, stacks = [], []
+    views, legs = qnn._Workspace.views, qnn._legs
 
-    def spy(work):
-        init(work)
-        works.append(work)
+    def record(work, amps):
+        shaped = views(work, amps)
+        buffers.append([id(b) for b in work._bytes])
+        return shaped
 
-    monkeypatch.setattr(qnn._Workspace, "__init__", spy)
+    def spy(gates, differs, per_block):
+        stacks.append(len(differs))
+        return legs(gates, differs, per_block)
+
+    monkeypatch.setattr(qnn._Workspace, "views", record)
+    monkeypatch.setattr(qnn, "_legs", spy)
     model = build_model("eqnn3")
-    objective = make_objective(model, gen_two_class_usage(per_class=10, seed=6), CROSS_ENTROPY)
-    (work,) = works
+    dataset = gen_two_class_usage(per_class=10, seed=6)
+    problem = qnn._Problem(model, dataset, CROSS_ENTROPY)
     w = initial_weights(model.n_weights, seed=6)
-    loss, grown = objective.fun(w), work.grown
-    assert [key[0] for key in work.plans] == [(1, model.n_weights)]
-    objective.value_and_grad(w)
-    assert work.grown > grown
-    assert [key[0] for key in work.plans] == [(2 * model.n_weights + 1, model.n_weights)]
-    assert objective.fun(w) == loss
-    assert len(work.plans) == 2
+    deltas = np.random.default_rng(6).choice([-1.0, 1.0], size=(20, model.n_weights))
+    probes = np.vstack([w + 0.1 * deltas, w - 0.1 * deltas])
+    loss = batch_loss(model, w, dataset, CROSS_ENTROPY, _problem=problem)
+    (plan,) = problem.plans.values()
+    parameter_shift_gradient(model, w, dataset, CROSS_ENTROPY, _problem=problem)
+    qnn.batch_losses(model, probes, dataset, CROSS_ENTROPY, _problem=problem)
+    assert batch_loss(model, w, dataset, CROSS_ENTROPY, _problem=problem) == loss
+    assert stacks == [1, 2 * model.n_weights + 1, 40]
+    assert len(problem.plans) == 3 and plan in problem.plans.values()
+    assert problem.work._snapshot is not None  # the gradient's forks
+    assert len(buffers) > 3 + len(model.variational.gates)
+    assert all(ids == [id(b) for b in problem.work._bytes] for ids in buffers)
 
 
 def test_dropping_an_objective_frees_its_plans_and_their_buffers(monkeypatch):
-    # Plans belong to their problem's workspace: once the objective is gone,
-    # nothing else holds the walk buffers, the snapshot or a plan's angles.
-    works = []
-    init = qnn._Workspace.__init__
+    # Plans belong to their problem: once the objective is gone, nothing else
+    # holds the problem, its workspace, the walk buffers, the snapshot or a
+    # plan's angles.
+    problems = []
+    init = qnn._Problem.__init__
 
-    def spy(work):
-        init(work)
-        works.append(weakref.ref(work))
+    def spy(problem, *args):
+        init(problem, *args)
+        problems.append(weakref.ref(problem))
 
-    monkeypatch.setattr(qnn._Workspace, "__init__", spy)
+    monkeypatch.setattr(qnn._Problem, "__init__", spy)
     model = build_model("benchmark")
     objective = make_objective(model, gen_two_class_usage(per_class=10, seed=7), CROSS_ENTROPY)
     w = initial_weights(model.n_weights, seed=7)
     objective.value_and_grad(w)
     objective.fun(w)
-    work = works[0]()
-    arrays = list(work._bytes) + [work._snapshot] + [plan[1] for plan in work.plans.values()]
+    problem = problems[0]()
+    work = problem.work
+    arrays = list(work._bytes) + [work._snapshot] + [plan[1] for plan in problem.plans.values()]
     assert len(arrays) == 3 + 1 + 2
-    refs = [weakref.ref(array) for array in arrays] + [works[0]]
-    del work, arrays, objective
+    refs = [weakref.ref(array) for array in arrays] + [weakref.ref(work), problems[0]]
+    del problem, work, arrays, objective
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(refs)
 

@@ -715,6 +715,25 @@ def test_compiled_walks_equal_the_gate_by_gate_walk_bit_for_bit(problem, data):
     assert_compiled_walk_equals_the_gate_by_gate_walk(model, kind, dataset, W, blocks, stack)
 
 
+@pytest.mark.parametrize("name", ("simplified",) + ALL_NAMED)
+@pytest.mark.parametrize("blocks, stack", [(1, 17), (1, 2), (2, 1)])
+def test_stacks_of_one_start_and_of_copies_equal_the_gate_by_gate_walk(name, blocks, stack):
+    # Every row but row 0 of the first stack leaves it at the first gate, so
+    # all of them walk from the start, in blocks of at most ``stack`` rows
+    # with row 0 among the last; every row of the second equals row 0 and
+    # takes its values unwalked.  Both equal each row's walk gate by gate.
+    if name == "simplified":
+        model, kind, dataset = simplified_model(), SQUARED_ERROR, gen_linear(8, seed=8)
+    else:
+        model, kind = build_model(name), CROSS_ENTROPY
+        dataset = gen_two_class_usage(per_class=4, seed=8)
+    w = initial_weights(model.n_weights, seed=8)
+    first = math.pi / 2 * np.eye(model.n_weights)[0]
+    leaving = np.vstack([w, w + first, w - first, w + 0.25, -w, w + 0.5 * first])
+    for W in (leaving, np.tile(w, (5, 1))):
+        assert_compiled_walk_equals_the_gate_by_gate_walk(model, kind, dataset, W, blocks, stack)
+
+
 @settings(max_examples=8)
 @given(n=st.integers(14, 17), phase=st.booleans(), data=st.data())
 def test_compiled_walks_of_rotated_registers_equal_the_gate_by_gate_walk(n, phase, data):
