@@ -259,13 +259,55 @@ def _parse_header(line: str) -> tuple[str, int, str]:
 
 
 def load_csv(path) -> Dataset:
-    """Read a file written by ``save_csv``, as floats in one pass; fails with the line number."""
+    """Read a file written by ``save_csv``; fails with the line number.
+
+    A valid file is parsed in one vectorised pass (``_table``).  Any other
+    falls through to the per-line pass (``_table_by_lines``), the only one
+    that raises, which names the first line that breaks a rule.
+    """
     with open(path, "r", newline="") as fh:
         raw_lines = fh.read().split("\n")
     generator, seed, kind = _parse_header(raw_lines[0])
+    table = _table(raw_lines[1:], kind)
+    if table is None:
+        table = _table_by_lines(raw_lines[1:], kind)
+    return Dataset._of(table[:, :-1].copy(), table[:, -1].copy(), kind, generator, seed)
+
+
+def _table(lines: list[str], kind: str) -> np.ndarray | None:
+    """The non-blank ``lines`` as one ``(N, width)`` float array, or ``None`` if any breaks
+    a rule of ``_table_by_lines``.
+
+    Every line must have the first one's number of commas, at least one: a
+    count per line, since a short row beside a long one keeps the total.
+    Then one ``np.array(cells, dtype=float)`` parses every cell, as
+    ``float()`` would, and the finite check runs on that array.  A class
+    label is checked as text, since ``"1.0"`` parses to 1 but is refused.
+    """
+    lines = [line for line in lines if line.strip()]
+    commas = lines[0].count(",") if lines else 0
+    if commas < 1 or any(line.count(",") != commas for line in lines):
+        return None
+    cells = ",".join(lines).split(",")
+    try:
+        table = np.array(cells, dtype=float).reshape(len(lines), commas + 1)
+    except ValueError:
+        return None
+    if not np.isfinite(table).all():
+        return None
+    if kind == CLASSIFICATION_KIND and not {
+        label.strip() for label in cells[commas :: commas + 1]
+    } <= {"0", "1"}:
+        return None
+    return table
+
+
+def _table_by_lines(lines: list[str], kind: str) -> np.ndarray:
+    """The data ``lines``, line 2 on, as one ``(N, width)`` float array, one line at a time;
+    raises ``DataFormatError`` at the first line that breaks a rule."""
     values: list[float] = []
     width = 0
-    for number, line in enumerate(raw_lines[1:], start=2):
+    for number, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         cells = line.split(",")
@@ -290,5 +332,4 @@ def load_csv(path) -> Dataset:
         values += row
     if not values:
         raise DataFormatError("no data rows", line_number=1)
-    table = np.array(values).reshape(-1, width)
-    return Dataset._of(table[:, :-1].copy(), table[:, -1].copy(), kind, generator, seed)
+    return np.array(values).reshape(-1, width)

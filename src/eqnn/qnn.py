@@ -18,7 +18,11 @@ Every evaluation goes through one gate walk, ``_walk``, over gates that
 ``bind`` evaluated for one row or a batch of rows, in one dtype from
 start to end: float64, or complex if a walked gate is a phase gate
 (``_walk_dtype``).  Before that gate every imaginary part is +0, so a
-complex start computes the same values as a real one.  Amplitudes are
+complex start computes the same values as a real one.  The one exception
+is a training problem whose encoded states are complex and whose
+variational circuit has no phase gate, such as ``benchmark``'s: it walks
+those states as (re, im) float64 pairs, with the same bits (see
+``_Problem._compile_block``).  Amplitudes are
 laid out as the kernels take them, ``(2**n, *batch)``.  A walk is
 compiled, then run: ``_compile`` turns the gates into steps over fixed
 sources and outputs in a ``_Workspace`` (two walk buffers, RY's scratch
@@ -205,10 +209,22 @@ def _walk_dtype(dtype, gates) -> np.dtype:
     return np.dtype(complex if any(g.name == "phase" for g in gates) else dtype)
 
 
+def _bytes(nbytes: int) -> np.ndarray:
+    """Fresh bytes that hold ``nbytes`` from a 64-byte cache line on (see ``_as``)."""
+    return np.empty(nbytes + 63, np.uint8)
+
+
 def _as(buffer: np.ndarray, shape: tuple, dtype) -> np.ndarray:
-    """The leading bytes of the flat ``buffer`` as a C-ordered ``dtype`` array of ``shape``."""
-    dtype = np.dtype(dtype)
-    return buffer[: math.prod(shape) * dtype.itemsize].view(dtype).reshape(shape)
+    """The leading bytes of ``buffer`` (``_bytes``) from its first cache line on, as a
+    C-ordered ``dtype`` array of ``shape``.
+
+    numpy aligns an allocation to 16 bytes only.  A walk buffer off a cache
+    line splits the kernels' vector loads and stores across lines: a 1000-row
+    eqnn1 or eqnn3 gradient ran about 15% slower from buffers 16 to 48 bytes
+    past a line.
+    """
+    dtype, start = np.dtype(dtype), -buffer.ctypes.data % 64
+    return buffer[start : start + math.prod(shape) * dtype.itemsize].view(dtype).reshape(shape)
 
 
 class _Workspace:
@@ -236,7 +252,7 @@ class _Workspace:
         """The two walk buffers shaped like ``amps``, then RY's scratch, ``(k + 2, *batch)``."""
         shapes = (amps.shape, amps.shape, (_tile_amplitudes(amps) + 2,) + amps.shape[1:])
         if self._bytes is None:
-            self._bytes = tuple(np.empty(math.prod(s) * amps.itemsize, np.uint8) for s in shapes)
+            self._bytes = tuple(_bytes(math.prod(s) * amps.itemsize) for s in shapes)
         return [_as(b, s, amps.dtype) for b, s in zip(self._bytes, shapes)]
 
     def spare(self, amps: np.ndarray) -> np.ndarray:
@@ -247,7 +263,7 @@ class _Workspace:
     def snapshot(self, amps: np.ndarray) -> np.ndarray:
         """The snapshot block, which no walk writes, shaped like ``amps``, the first the largest."""
         if self._snapshot is None:
-            self._snapshot = np.empty(amps.nbytes, np.uint8)
+            self._snapshot = _bytes(amps.nbytes)
         return _as(self._snapshot, amps.shape, amps.dtype)
 
 
@@ -594,7 +610,12 @@ class _Problem:
     Holds the encoded rows ``psi``, the workspace that their encode and
     every later walk write into, sized first for the largest block, the
     compiled walks of the weight stacks (``plans``, see ``_plan``), the
-    targets and the head's readout.
+    targets and the head's readout.  With ``pairs``, complex ``psi`` under
+    a variational circuit with no phase gate, every walk runs on the
+    float64 (re, im) pairs of ``psi`` (``_compile_block``), bit for bit the
+    complex walk.  One-shot walks keep the circuit's dtype: after its last
+    phase gate one may take an angle per data row, which does not broadcast
+    over pairs, while a weight angle does.
     """
 
     def __init__(self, model: QnnModel, dataset, kind: str):
@@ -624,6 +645,7 @@ class _Problem:
         self.work = _Workspace(np.broadcast_to(np.empty((), dtype), (dim, self.stack, rows)))
         self.plans: dict = {}
         self.psi = _encode(model, X, self.work)
+        self.pairs = self.psi.dtype != _walk_dtype(float, model.variational.gates)
         signs = parity_signs(model.n_qubits)
         self.readout = signs if kind == SQUARED_ERROR else np.where(signs > 0, 1.0, 0.0)
         # A readout of |0...0>'s +1 and at most one more +-1 is that square, or the
@@ -731,8 +753,20 @@ class _Problem:
         return plan
 
     def _compile_block(self, gates, legs, thetas, rows: slice) -> list:
-        """The legs of the data ``rows`` as ``(steps, snap, read)`` (see ``_plan``)."""
-        dim, state, compiled = self.psi.shape[0], self.psi[:, None, rows], []
+        """The legs of the data ``rows`` as ``(steps, snap, read)`` (see ``_plan``).
+
+        With ``pairs``, the legs walk ``psi.view(float)``, where data row ``i``
+        is columns ``2i`` (re) and ``2i + 1`` (im).  A weight angle, ``(B, 1)``,
+        broadcasts over both.  numpy multiplies a real angle into a complex
+        amplitude as ``(c + 0i)(a + bi)``, whose parts are ``ca`` and ``cb``
+        plus an exact +-0, so every amplitude equals the complex walk's; only
+        the sign of a zero may differ, and ``|+-0|**2`` is +0.
+        """
+        dim, compiled = self.psi.shape[0], []
+        if self.pairs:
+            state = self.psi.view(float)[:, None, 2 * rows.start : 2 * rows.stop]
+        else:
+            state = self.psi[:, None, rows]
         for (lo, hi, which, _, on, snap, read), leg_thetas in zip(legs, thetas):
             if not on:
                 amps = np.broadcast_to(state, (dim, len(which)) + state.shape[2:])
@@ -749,8 +783,12 @@ class _Problem:
         The squares go into the spare walk buffer, from each ``(amplitudes,
         square)`` of ``terms``: all of them as one, amplitude-last, for the
         readout's product, or only the readout's terms, as whole planes.
+        (re, im) pairs are read as the complex amplitudes they hold, so
+        ``_square`` takes ``np.abs`` first, as for a prediction.
         """
         spare = self.work.spare(amps)
+        if self.pairs:
+            amps = amps.view(self.psi.dtype)
         if which == list(range(which[0], which[-1] + 1)):
             which = slice(which[0], which[-1] + 1)
         if self.terms is None:

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -429,6 +429,9 @@ def _read(reader, path):
 
 @settings(max_examples=300)
 @given(text=csv_texts())
+# A short row beside a long one keeps the total number of cells.
+@example(text="# generator=toy seed=0 kind=regression\n0.1,0.2\n0.3\n0.4,0.5,0.6\n")
+@example(text="# generator=toy seed=0 kind=classification\n0.1,0.2,0\n0.3,1\n0.4,0.5,0.6,1\n")
 def test_load_csv_matches_the_line_by_line_reference(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "reference.csv"
     path.write_bytes(text.encode())

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -15,6 +15,7 @@ from eqnn.circuit import (
     Input,
     Weight,
     bind,
+    build_benchmark_feature_map,
     build_efm,
     build_real_amplitudes,
     concat,
@@ -700,19 +701,66 @@ def assert_compiled_walk_equals_the_gate_by_gate_walk(model, kind, dataset, W, b
         assert values.tobytes() == oracles.fitted_by_gates(problem, S).tobytes()
 
 
+@st.composite
+def compiled_walks(draw):
+    """``(model, kind, dataset, W, blocks, stack)`` for
+    ``assert_compiled_walk_equals_the_gate_by_gate_walk``."""
+    model, kind, w, dataset = draw(strategies.problems(strategies.ANY_MODELS))
+    W = draw(forked_stacks(w, extra=16))
+    blocks = draw(st.integers(1, min(3, len(dataset))))
+    return model, kind, dataset, W, blocks, draw(st.integers(1, 17))
+
+
+# The benchmark model at x = 0 under weights of 0 and +-pi: its encoded
+# states and walks hold exact zero parts, the only values whose sign a walk
+# on (re, im) pairs may give otherwise than the complex walk.
+_AT_ZERO = (build_model("benchmark"), CROSS_ENTROPY, tiny_class_set([(0, 0, 0), (0, 0, 1)]))
+_EXACT_ZEROS = math.pi * np.array([[0] * 8, [1] * 8, [-1] * 8, [1, -1, 0, 0, 1, 1, -1, 0]])
+
+
 @settings(max_examples=80)
-@given(problem=strategies.problems(strategies.ANY_MODELS), data=st.data())
-def test_compiled_walks_equal_the_gate_by_gate_walk_bit_for_bit(problem, data):
+@given(case=compiled_walks())
+@example(case=_AT_ZERO + (_EXACT_ZEROS, 1, 17))
+@example(case=_AT_ZERO + (_EXACT_ZEROS[[0, 1, 0, 2]], 2, 1))
+def test_compiled_walks_equal_the_gate_by_gate_walk_bit_for_bit(case):
     # Every model the package builds and random circuits on 1-4 qubits, real
     # or complex, under stacks of 1-17 weight rows with forked, copied and
     # duplicate rows, over data rows in 1-3 blocks, or in one block holding
     # 1-17 weight rows: each fitted value, walked by a plan compiled once,
     # equals that row's walk gate by gate, bit for bit.
-    model, kind, w, dataset = problem
-    W = data.draw(forked_stacks(w, extra=16))
-    blocks = data.draw(st.integers(1, min(3, len(dataset))))
-    stack = data.draw(st.integers(1, 17))
-    assert_compiled_walk_equals_the_gate_by_gate_walk(model, kind, dataset, W, blocks, stack)
+    assert_compiled_walk_equals_the_gate_by_gate_walk(*case)
+
+
+@pytest.mark.parametrize("phase, dtype", [(False, np.float64), (True, np.complex128)])
+def test_complex_states_walk_a_real_ansatz_as_float_pairs(phase, dtype):
+    # The benchmark encode is complex and its RealAmplitudes ansatz has no
+    # phase gate, so every step of every compiled leg, for one row and for a
+    # forked gradient stack, walks float64 (re, im) pairs of the complex128
+    # states.  A phase gate in the ansatz keeps every step complex128.
+    variational = build_real_amplitudes(2, 3)
+    if phase:
+        variational = concat(variational, Circuit(2, (Gate("phase", (1,), Weight(0)),)))
+    model = QnnModel("zz", build_benchmark_feature_map(), variational, PARITY)
+    problem = qnn._Problem(model, gen_two_class_usage(per_class=4, seed=3), CROSS_ENTROPY)
+    w = initial_weights(model.n_weights, seed=3)
+    shifts = math.pi / 2 * np.eye(len(w))
+    for W in (w[None], np.vstack([w, w + shifts, w - shifts])):
+        np.testing.assert_array_equal(problem.fitted(W), oracles.fitted_by_gates(problem, W))
+    steps = [step for _, _, legs, _ in problem.plans.values()
+             for leg_steps, _, _ in legs for step in leg_steps]
+    assert problem.psi.dtype == np.complex128 and len(problem.plans) == 2
+    assert steps and {s[1].dtype for s in steps} == {s[4].dtype for s in steps} == {
+        np.dtype(dtype)}
+
+
+def test_workspace_arrays_start_on_a_cache_line():
+    # numpy aligns an allocation to 16 bytes only; walk buffers, RY's scratch
+    # and the snapshot start on a 64-byte line, so no vector load or store
+    # of a kernel splits across two lines.
+    work = qnn._Workspace()
+    for amps in (np.zeros((4, 3, 2000)), np.zeros((4, 5, 37), complex)):
+        arrays = work.views(amps) + [work.snapshot(amps)]
+        assert [a.ctypes.data % 64 for a in arrays] == [0] * 4
 
 
 @pytest.mark.parametrize("name", ("simplified",) + ALL_NAMED)
