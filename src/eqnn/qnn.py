@@ -30,12 +30,18 @@ of one tile and its cos and sin planes for per-row angles, see
 ``statevector.kernel_ry``), and ``_run`` hands each step to ``_apply``,
 which calls the public ``statevector.kernel_*`` by name.  Each call or
 training problem owns one workspace, sized once for its largest block;
-it never grows.  There is one rule: walk the bound circuit from |0...0>
-(``_amplitudes``), a batch in blocks of rows of at most 256 KB
-(``_BLOCK_BYTES``).  ``simulate`` walks one row; a prediction walks the
-model circuit bound to each block of rows and the weight row, and
-squares the block straight into its output (``_square``).  Such
-one-shot walks leave each kernel to build its own views.
+it never grows.  Every walk keeps one buffer rule: its first step reads
+its source (the |0...0> start, a block of encoded states or a caller's
+array) into a walk buffer, every later H, RY and phase gate rewrites
+that buffer in place, and only permutations, CNOT runs and rotations,
+write the other one (see ``_compile``).  There is one rule for what is
+walked: the bound circuit from |0...0> (``_amplitudes``), a batch in
+blocks of rows of at most 256 KB (``_BLOCK_BYTES``).  ``simulate`` walks
+one row; a prediction walks the model circuit bound to each block of
+rows and the weight row, and squares the block straight into its output
+(``_square``).  Such one-shot walks leave each kernel to build its own
+views, but for the in-place views of a gate that rewrites its buffer,
+which ``_run`` builds as it reaches the step.
 
 Only a training problem (``_Problem``: one model, dataset and loss kind)
 caches the weight-free feature map's states (``_encode``, a ``(2**n, N)``
@@ -104,7 +110,7 @@ from .circuit import (
     evaluate,
 )
 from .errors import UsageError
-from .statevector import StateVector, _apply, _tile_amplitudes, _views
+from .statevector import _IN_PLACE, StateVector, _apply, _tile_amplitudes, _views
 
 REGRESSION = "regression"
 PARITY = "parity"
@@ -230,9 +236,11 @@ def _as(buffer: np.ndarray, shape: tuple, dtype) -> np.ndarray:
 class _Workspace:
     """Flat bytes that walks write into, sized once for the largest walk of their owner.
 
-    Two walk buffers of one block each, which the gates write in turn,
-    and RY's scratch: one kernel tile for its second product (at most
-    half a block, see ``statevector._tile_amplitudes``) and two planes
+    Two walk buffers of one block each, which the permutations of a walk
+    write in turn and its one-qubit gates rewrite in place (``_compile``),
+    and RY's scratch: one kernel tile for a temporary product, which H
+    takes too in place (at most half a block, see
+    ``statevector._tile_amplitudes``), and two planes
     of one amplitude's batch for its per-row cos and sin (see
     ``statevector.kernel_ry``).  That is two blocks, one tile and two
     planes, as three arrays, so a walk's result keeps only its own
@@ -273,10 +281,9 @@ class _Workspace:
 # 11, against 1.7-2.0 ms from position 12 on, where a run is 2^12 long.
 _FAST_RUN = 1 << 12
 
-# A rotation copies tiles of about this many bytes of the source, and of
-# at least 32 source rows, so that the reads of each tile stay in cache
-# and each write runs at least 32 elements.
-_TILE_BYTES = 1 << 15
+# A rotation copies square tiles of about this many bytes of the source,
+# 128 x 128 amplitudes of float64 (see ``_rotate``).
+_TILE_BYTES = 1 << 17
 
 
 def _slow_positions(amps: np.ndarray) -> int:
@@ -317,15 +324,23 @@ def _rotate(amps: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
     """``amps`` with the amplitude at bit position ``p`` moved to ``(p + d) % n``, into ``out``.
 
     That is the ``(2**d, 2**(n-d), *batch)`` view with its first two axes
-    swapped, copied in tiles of its rows (``_TILE_BYTES``): one copy of the
-    whole view at 2^20 float64 takes 3.5-5.5 ms, the tiles 1.0-1.4 ms.
+    swapped, copied one tile of ``_TILE_BYTES`` at a time: a square of
+    ``side`` x ``side`` amplitudes with their batch, or, where one axis is
+    shorter than ``side``, all of that axis and as much more of the other.
+    A tile's reads and writes both stay in cache.  At 2^20 float64 and
+    shift 12 a rotation takes 2.5-2.9 ms, against 4.0-4.9 ms for strips of
+    whole source rows (min of 7 x 5, 2 vCPU).
     """
     n = amps.shape[0].bit_length() - 1
     source = amps.reshape((1 << d, 1 << (n - d)) + amps.shape[1:])
     target = out.reshape((1 << (n - d), 1 << d) + amps.shape[1:])
-    step = max(32, _TILE_BYTES // source[0].nbytes)
-    for i in range(0, 1 << d, step):
-        target[:, i : i + step] = source[i : i + step].swapaxes(0, 1)
+    tile = max(1, _TILE_BYTES // max(1, source[0, 0].nbytes))  # amplitudes per tile
+    side = 1 << ((tile.bit_length() - 1) // 2)
+    rows = min(1 << d, max(side, tile >> (n - d)))
+    cols = min(1 << (n - d), max(1, tile // rows))
+    for i in range(0, 1 << d, rows):
+        for j in range(0, 1 << (n - d), cols):
+            target[j : j + cols, i : i + rows] = source[i : i + rows, j : j + cols].swapaxes(0, 1)
     return out
 
 
@@ -333,20 +348,30 @@ def _compile(gates, thetas, amps: np.ndarray, work: _Workspace, views: bool):
     """The steps of a walk of ``gates`` from ``amps``, and the view its result will be in.
 
     ``thetas`` holds each gate's angle as its kernel takes it.  A step is
-    ``(name, source, positions, theta, out, scratch, views)``, which
+    ``(name, source, positions, theta, out, scratch, idle, views)``, which
     ``_run`` hands to ``_apply``; for the name ``"rotate"`` it calls
     ``_rotate(source, positions, out)``, ``positions`` being the shift.
     Every source and output is fixed: the input, or the walk buffer of
-    ``work`` that the step before wrote.  With ``views``, each step also
-    holds the views its kernel works on (``statevector._views``), built and
-    checked here once, so that each run of the steps calls only the ufuncs.
+    ``work`` that the step before wrote; ``idle`` is the walk buffer that
+    does not hold the source.  With ``views``, each step also holds the
+    views its kernel works on (``statevector._views``), built and checked
+    here once, so that each run of the steps calls only the ufuncs.
 
     Gates bound to a batch of rows turn ``amps[:, b]``, shape ``(2**n, ...)``,
     by row ``b``'s angles.  Each run of consecutive CNOTs is one
-    ``kernel_cnot`` call, a single gather.  Every gate, CNOT run and
-    rotation writes the walk buffer that does not hold its input, so the
-    result is a view into one of the two; a walk from such a result goes on
-    from its buffer.
+    ``kernel_cnot`` call, a single gather.  The first step reads the source
+    into a walk buffer.  Every later H, RY and phase gate rewrites the walk
+    buffer that holds its input, tile by tile with the ufuncs of the pure
+    kernel on the same values (``statevector._views`` given that buffer as
+    ``out``), so every amplitude keeps its bits; RY's second temporary is
+    one tile of the other, idle buffer.  Only a CNOT run or a rotation, a
+    permutation, writes the buffer that does not hold its input.  So the
+    result is a view into one of the two, the source is never written, and
+    a walk from such a result goes on in its buffer.  In place, a tile is
+    read once and written once, where a gate into the other buffer streams
+    the whole state through both: at 2^20 float64 an RY fell from
+    2.3-3.1 to 1.4-2.2 ms and an H from 3.1-3.5 to 1.1-1.5 ms (min of
+    7 x 5, 2 vCPU).
 
     The walk keeps one bit rotation ``r``: logical qubit ``q`` sits at bit
     position ``(q + r) % n``, and each kernel gets the positions.  A
@@ -370,9 +395,12 @@ def _compile(gates, thetas, amps: np.ndarray, work: _Workspace, views: bool):
 
     def step(name, positions, theta=None):
         nonlocal amps
-        out = buffers[amps is buffers[0]]  # the walk buffer that does not hold amps
-        given = _views(amps, name, positions, out, scratch) if views and name != "rotate" else None
-        steps.append((name, amps, positions, theta, out, scratch, given))
+        idle = buffers[amps is buffers[0]]  # the walk buffer that does not hold amps
+        out = amps if name in _IN_PLACE and any(amps is b for b in buffers) else idle
+        given = None
+        if views and name != "rotate":
+            given = _views(amps, name, positions, out, scratch, idle)
+        steps.append((name, amps, positions, theta, out, scratch, idle, given))
         amps = out
 
     for k, g in enumerate(gates):
@@ -394,12 +422,19 @@ def _compile(gates, thetas, amps: np.ndarray, work: _Workspace, views: bool):
 
 
 def _run(steps) -> None:
-    """Run compiled steps (``_compile``) through ``_apply`` and ``_rotate``."""
-    for name, amps, positions, theta, out, scratch, views in steps:
+    """Run compiled steps (``_compile``) through ``_apply`` and ``_rotate``.
+
+    A step compiled without views that rewrites its buffer in place builds
+    them as it runs (``statevector._views``): a kernel builds its own only
+    for an ``out`` apart from its input.
+    """
+    for name, amps, positions, theta, out, scratch, idle, views in steps:
         if name == "rotate":
             _rotate(amps, positions, out)
-        else:
-            _apply(amps, name, positions, theta, out, scratch, views)
+            continue
+        if views is None and out is amps:
+            views = _views(amps, name, positions, out, scratch, idle)
+        _apply(amps, name, positions, theta, out, scratch, views)
 
 
 def _walk(gates, amps: np.ndarray, work: _Workspace) -> np.ndarray:
@@ -568,9 +603,10 @@ def _legs(gates, differs: np.ndarray, per_block: int) -> tuple[list, list]:
     the next start leaves a copy of its state there, and goes on to the
     end.  When every row starts at gate 0, as in an SPSA stack or a single
     loss, that is one start: the rows walk from the start in blocks, row 0
-    among the last.  A gate where none of a leg's rows leaves row 0 takes
-    row 0's angle alone, which the kernel broadcasts: the same products as
-    a whole plane of it.
+    among the last.  With no gates, row 0 has one leg of none, which reads
+    its encoded states out.  A gate where none of a leg's rows leaves row 0
+    takes row 0's angle alone, which the kernel broadcasts: the same
+    products as a whole plane of it.
     """
     varying = [isinstance(g.angle, np.ndarray) for g in gates]
     starts, leaving = _forks(gates, differs)
@@ -585,7 +621,8 @@ def _legs(gates, differs: np.ndarray, per_block: int) -> tuple[list, list]:
     groups: dict[int, list] = {}
     for b, start in enumerate(starts):
         groups.setdefault(start, []).append(b)
-    bounds = sorted(set(groups) - {len(gates)} | {0, len(gates)})
+    same = groups.pop(len(gates))  # row 0 among them
+    bounds = sorted(set(groups) | {0}) + [len(gates)]  # [0, 0] for no gates: one read leg
     legs = []
     for start, stop in zip(bounds, bounds[1:]):
         rows = groups.get(start, [])
@@ -596,7 +633,7 @@ def _legs(gates, differs: np.ndarray, per_block: int) -> tuple[list, list]:
         legs.append(take(start, stop, carrier) + (False, not last, last))
         if not last and len(carrier) > 1:  # the carrier goes on to the end
             legs.append(take(stop, len(gates), carrier) + (True, False, True))
-    return legs, groups[len(gates)]
+    return legs, same
 
 
 # A training problem keeps the compiled walks of at most this many weight

@@ -43,8 +43,14 @@ argument skips that step.  A walk compiled once and run many times
 time, so a call runs only the kernel's ufuncs, the same ones in the same
 order as a call that builds its own.
 
-All operations are pure unless given ``out`` (or ``scratch``), which must
-not overlap the input; nothing mutates its input.
+All public operations are pure unless given ``out`` (or ``scratch``),
+which must not overlap the input; nothing public mutates its input, and
+every kernel refuses the input itself as ``out``.  Only private views may
+rewrite an array in place: ``_views`` given the input as ``out`` builds,
+for an H, RY or phase gate, views whose output is the input itself
+(``_in_place_views``), and the kernel handed them rewrites it tile by tile
+with the same ufuncs on the same values.  The circuit walk in ``qnn`` uses
+them to rewrite its walk buffer (see ``qnn._compile``).
 """
 
 from __future__ import annotations
@@ -147,15 +153,22 @@ def _tiles(a: np.ndarray, o: np.ndarray, k: int) -> tuple[tuple, ...]:
 
 
 def _h_views(amps: np.ndarray, qubit: int, out) -> tuple:
-    """``(result, tiles)``: ``kernel_h``'s output and the pair halves of each tile (``_tiles``)."""
+    """``(result, tiles, None)``: ``kernel_h``'s output and the pair halves of each tile
+    (``_tiles``); in place, the last is a temporary tile (``_in_place_views``)."""
     a = _split(amps, qubit)
     result = _target(amps, out, amps.shape, amps.dtype, "out")
-    return result, _tiles(a, result.reshape(a.shape), _tile_amplitudes(amps))
+    return result, _tiles(a, result.reshape(a.shape), _tile_amplitudes(amps)), None
 
 
 def kernel_h(amps: np.ndarray, qubit: int, out=None, _views=None) -> np.ndarray:
     """Hadamard on ``qubit``, one tile of the pair halves at a time."""
-    result, tiles = _views or _h_views(amps, qubit, out)
+    result, tiles, tmp = _views or _h_views(amps, qubit, out)
+    if result is amps:  # in place, through one temporary tile
+        for v0, v1 in tiles:
+            np.subtract(v0, v1, out=tmp)
+            np.multiply(np.add(v0, v1, out=v0), _SQRT_HALF, out=v0)
+            np.multiply(tmp, _SQRT_HALF, out=v1)
+        return result
     for v0, v1, o0, o1 in tiles:
         np.add(v0, v1, out=o0)
         np.multiply(o0, _SQRT_HALF, out=o0)
@@ -176,11 +189,17 @@ def _phase_views(amps: np.ndarray, qubit: int, out) -> tuple:
 def kernel_phase(amps: np.ndarray, theta, qubit: int, out=None, _views=None) -> np.ndarray:
     """Phase gate diag(1, e^{i*theta}) on ``qubit``; the output is complex."""
     result, a0, a1, o0, o1 = _views or _phase_views(amps, qubit, out)
-    o0[...] = a0
+    if result is not amps:  # in place, the first half stays where it is
+        o0[...] = a0
     # Broadcast before the multiply: a one-element product that the ufunc must
     # broadcast itself skips numpy's SIMD loop and rounds 1 ulp apart.
     phase = np.broadcast_to(np.exp(1j * np.asarray(theta, dtype=float)), o1.shape)
-    np.multiply(a1, phase, out=o1)
+    if result is amps and a1.size == 1:
+        # numpy runs a one-element product into its own input as a reduction,
+        # which also skips the SIMD loop; a fresh product keeps its bits.
+        o1[...] = np.multiply(a1, phase)
+    else:
+        np.multiply(a1, phase, out=o1)
     return result
 
 
@@ -215,6 +234,10 @@ def kernel_ry(amps: np.ndarray, theta, qubit: int, out=None, scratch=None,
     the last two rows of ``scratch``, two planes of the amplitude dtype
     shaped like the batch.  Every product is the same, bit for bit.  A
     scalar, one-element or batch-shaped angle is used as it is.
+
+    In place (``_in_place_views``) each tile takes ``t = s*v1`` and
+    ``u = c*v1`` into two temporary tiles, then ``v1 = s*v0 + u`` and
+    ``v0 = c*v0 - t``: the products and sums of the pure kernel.
     """
     result, tiles, tmp, planes = _views or _ry_views(amps, qubit, out, scratch)
     half = np.asarray(theta, dtype=float) / 2.0
@@ -223,6 +246,14 @@ def kernel_ry(amps: np.ndarray, theta, qubit: int, out=None, scratch=None,
         np.copyto(planes[0], c)
         np.copyto(planes[1], s)
         c, s = planes
+    if result is amps:  # in place, through two temporary tiles
+        t, u = tmp
+        for v0, v1 in tiles:
+            np.multiply(s, v1, out=t)
+            np.multiply(c, v1, out=u)
+            np.add(np.multiply(s, v0, out=v1), u, out=v1)
+            np.subtract(np.multiply(c, v0, out=v0), t, out=v0)
+        return result
     for v0, v1, o0, o1 in tiles:
         np.multiply(s, v1, out=tmp)
         np.subtract(np.multiply(c, v0, out=o0), tmp, out=o0)
@@ -312,13 +343,51 @@ def kernel_cnot(amps: np.ndarray, control: int, target: int, out=None,
     return result
 
 
-def _views(amps: np.ndarray, name: str, qubits: tuple, out, scratch=None):
+# The gates whose kernels may rewrite their input in place (``_in_place_views``).
+_IN_PLACE = ("h", "phase", "ry")
+
+
+def _in_place_views(amps: np.ndarray, name: str, qubit: int, scratch, spare) -> tuple:
+    """The views of a one-qubit gate on ``qubit`` that rewrites ``amps`` where it lies.
+
+    Each is shaped as the kernel's own views, with ``amps`` as the output,
+    so the kernel takes the in-place branch, and each tile holds only the
+    two pair halves that it rewrites.  H and RY keep their first
+    temporary tile in the first ``k`` rows of ``scratch`` (``kernel_ry``),
+    and RY its second in the leading amplitudes of ``spare``, an array
+    shaped like ``amps`` that the walk does not hold.
+    """
+    if not (amps.flags.c_contiguous and amps.flags.writeable):
+        raise UsageError("a gate rewrites only a C-ordered, writeable array in place")
+    a = _split(amps, qubit)
+    if name == "phase":
+        return amps, a[:, 0], a[:, 1], a[:, 0], a[:, 1]
+    k = _tile_amplitudes(amps)
+    tiles = tuple(tile[:2] for tile in _tiles(a, a, k))  # (v0, v1), the input's halves
+    shape = tiles[0][1].shape
+    tmp = _target(amps, scratch, (k + 2,) + amps.shape[1:], amps.dtype, "scratch")
+    t = tmp[:k].reshape(shape)
+    if name == "h":
+        return amps, tiles, t
+    spare = _target(amps, spare, amps.shape, amps.dtype, "spare")
+    if np.may_share_memory(spare, tmp):
+        raise UsageError("scratch must not overlap spare")
+    u = spare.reshape(-1)[: t.size].reshape(shape)
+    return amps, tiles, (t, u), (tmp[k], tmp[k + 1])
+
+
+def _views(amps: np.ndarray, name: str, qubits: tuple, out, scratch=None, spare=None):
     """The views that ``_apply`` hands the kernel of ``name`` for ``amps`` and ``out``.
 
     The kernel checks its qubits, ``out`` and ``scratch`` as it builds
     them.  ``None`` for a CNOT whose input is not C-ordered: its reshape is
-    a copy, which the kernel must make at each call.
+    a copy, which the kernel must make at each call.  With ``out`` being
+    ``amps`` itself, an H, RY or phase gate rewrites it in place through
+    the views of ``_in_place_views``; a kernel called without them refuses
+    such an ``out``.
     """
+    if out is amps and name in _IN_PLACE:
+        return _in_place_views(amps, name, qubits[0], scratch, spare)
     if name == "h":
         return _h_views(amps, qubits[0], out)
     if name == "phase":

@@ -9,6 +9,7 @@ from eqnn.circuit import GATE_NAMES, Circuit, Const, Gate, Input, Weight
 from eqnn.data import Dataset, Sample
 from eqnn.qnn import (
     CROSS_ENTROPY,
+    HEADS,
     MODEL_NAMES,
     PARITY,
     SQUARED_ERROR,
@@ -38,10 +39,10 @@ def angles(draw, leaves):
 
 @st.composite
 def circuits(draw, n_qubits, leaves, max_gates=8):
-    """1 to ``max_gates`` random h/phase/ry/cnot gates with angles over ``leaves``."""
+    """0 to ``max_gates`` random h/phase/ry/cnot gates with angles over ``leaves``."""
     names = GATE_NAMES if n_qubits > 1 else tuple(n for n in GATE_NAMES if n != "cnot")
     gates = []
-    for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=max_gates)):
+    for name in draw(st.lists(st.sampled_from(names), max_size=max_gates)):
         if name == "cnot":
             control, target = draw(st.permutations(range(n_qubits)))[:2]
             gates.append(Gate(name, (control, target)))
@@ -53,12 +54,13 @@ def circuits(draw, n_qubits, leaves, max_gates=8):
 
 @st.composite
 def models(draw):
-    """A parity-head model on 1-4 qubits: random feature map, random ansatz."""
+    """A parity- or regression-head model on 1-4 qubits: random feature map, random ansatz."""
     n_qubits = draw(st.integers(1, 4))
     inputs = [Input(i) for i in range(draw(st.integers(0, 2)))]
     weights = [Weight(j) for j in range(draw(st.integers(0, 3)))]
     return QnnModel(
-        "random", draw(circuits(n_qubits, inputs)), draw(circuits(n_qubits, weights)), PARITY
+        "random", draw(circuits(n_qubits, inputs)), draw(circuits(n_qubits, weights)),
+        draw(st.sampled_from(HEADS)),
     )
 
 
@@ -78,9 +80,10 @@ FIVE_MODELS = ((simplified_model(), SQUARED_ERROR),) + tuple(
 )
 
 
-# The five built models, or a random parity-head model with cross-entropy.
+# The five built models, or a random model with the one loss its head takes.
 ANY_MODELS = st.one_of(
-    st.sampled_from(FIVE_MODELS), models().map(lambda model: (model, CROSS_ENTROPY))
+    st.sampled_from(FIVE_MODELS),
+    models().map(lambda model: (model, CROSS_ENTROPY if model.head == PARITY else SQUARED_ERROR)),
 )
 
 

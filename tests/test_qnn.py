@@ -487,6 +487,142 @@ def test_prediction_holds_only_its_workspace_and_its_output():
     assert peak < 1.25 * probs.nbytes, peak
 
 
+@st.composite
+def wide_sources(draw, n, batch, dtype):
+    """A walk's source of ``(2**n, *batch)`` ``dtype`` amplitudes: a caller's array, a
+    read-only column broadcast over the batch like a block of encoded states, or the
+    |0...0> start."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["array", "column", "zero"]))
+    shape = (1 << n,) + batch
+    if kind == "zero":
+        column = np.zeros((1 << n,) + (1,) * len(batch), dtype)
+        column[0] = 1.0
+        return np.broadcast_to(column, shape)
+    source = rng.normal(size=shape if kind == "array" else (1 << n,) + (1,) * len(batch))
+    if dtype == complex:
+        source = source + 1j * rng.normal(size=source.shape)
+    return source if kind == "array" else np.broadcast_to(source, shape)
+
+
+@st.composite
+def wide_gates(draw, n, rows):
+    """Bound random h/phase/ry/cnot gates on ``n`` qubits, one angle per row, some
+    starting with a run of CNOTs."""
+    circuit = draw(strategies.circuits(n, [Input(0)], max_gates=10))
+    if draw(st.booleans()):
+        run = tuple(Gate("cnot", tuple(draw(st.permutations(range(n)))[:2]))
+                    for _ in range(draw(st.integers(1, 3))))
+        circuit = Circuit(n, run + circuit.gates)
+    X = draw(strategies.rows(rows or 1, circuit.input_arity))
+    return bind(circuit, X if rows else X[0], ())
+
+
+def compiled_walk(gates, amps, work, views):
+    """``qnn._walk``, or with ``views`` the compiled walk of a training leg."""
+    if not views:
+        return qnn._walk(gates, amps, work)
+    thetas = [g.angle.reshape(g.angle.shape + (1,) * (amps.ndim - 2)) if np.ndim(g.angle)
+              else g.angle for g in gates]
+    steps, result = qnn._compile(gates, thetas, amps, work, views=True)
+    qnn._run(steps)
+    return result
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(13, 15), rows=st.sampled_from([None, 1, 2, 3]), data=st.data())
+def test_wide_walks_rewritten_in_place_equal_the_gate_by_gate_walk(n, rows, data):
+    # 13-15 qubits over no batch or 1-3 rows, real or complex, with small
+    # kernel tiles: a walk whose one-qubit gates rewrite their walk buffer
+    # in place, compiled with views or not, and then a second walk that goes
+    # on from its result, equal the walk that writes every gate into the
+    # other buffer, by bytes.  The source is left as it was.
+    batch = () if rows is None else (rows,)
+    first, then = data.draw(wide_gates(n, rows)), data.draw(wide_gates(n, rows))
+    dtype = qnn._walk_dtype(data.draw(st.sampled_from([float, complex])), first + then)
+    source = data.draw(wide_sources(n, batch, dtype))
+    before = source.tobytes()
+    work = qnn._Workspace()
+    want = oracles.walk_by_gates(then, oracles.walk_by_gates(first, source, work), work).copy()
+    views = data.draw(st.booleans())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(statevector, "_KERNEL_TILE_BYTES", 1 << data.draw(st.integers(10, 14)))
+        work = qnn._Workspace()
+        got = compiled_walk(then, compiled_walk(first, source, work, views), work, views)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert source.tobytes() == before
+
+
+@pytest.mark.parametrize("first", ["h", "ry", "phase", "cnot"])
+@pytest.mark.parametrize("batch", [(), (2,)])
+def test_a_walk_reads_a_caller_array_and_never_writes_it(first, batch):
+    # A 13-qubit walk from a caller's writeable, C-ordered array: the first
+    # gate reads it into a walk buffer, and the later gates rewrite that
+    # buffer, so the array keeps its bytes, with or without compiled views.
+    n = 13
+    gate = Gate(first, (0, 12) if first == "cnot" else (12,),
+                None if first in ("h", "cnot") else Input(0))
+    circuit = Circuit(n, (gate, Gate("h", (0,)), Gate("ry", (5,), 2.0 * Input(0))))
+    X = np.linspace(0.3, 0.9, 2)[:, None]
+    gates = bind(circuit, X if batch else X[0], ())
+    rng = np.random.default_rng(12)
+    source = rng.normal(size=(1 << n,) + batch) + 1j * rng.normal(size=(1 << n,) + batch)
+    before = source.tobytes()
+    want = oracles.walk_by_gates(gates, source, qnn._Workspace())
+    for views in (False, True):
+        got = compiled_walk(gates, source, qnn._Workspace(), views)
+        assert got.tobytes() == want.tobytes()
+        assert source.tobytes() == before
+
+
+def test_one_qubit_gates_rewrite_the_walk_buffer_that_holds_their_input(monkeypatch):
+    # A 14-qubit simulate and an H-layer prediction: the first gate reads the
+    # |0...0> start into a walk buffer, every later H and RY rewrites the
+    # buffer that holds its input, and only CNOT runs and rotations write the
+    # other one.
+    moved = []
+    original = qnn._apply, qnn._rotate
+
+    def spy_apply(amps, name, qubits, angle, out, *args):
+        moved.append((name, out is not amps))
+        return original[0](amps, name, qubits, angle, out, *args)
+
+    def spy_rotate(amps, d, out):
+        moved.append(("rotate", out is not amps))
+        return original[1](amps, d, out)
+
+    monkeypatch.setattr(qnn, "_apply", spy_apply)
+    monkeypatch.setattr(qnn, "_rotate", spy_rotate)
+    n = 14
+    ansatz = build_real_amplitudes(n, 3)
+    w = np.linspace(-1.0, 1.0, ansatz.weight_arity)
+    model = QnnModel("wide", h_layer(n), ansatz, PARITY)
+    for call in (lambda: simulate(ansatz, (), w),
+                 lambda: predict_probs(model, np.zeros((1, 0)), w)):
+        moved.clear()
+        call()
+        assert moved[0][1]  # the start read into a walk buffer
+        assert all(elsewhere == (name in ("cnot", "rotate")) for name, elsewhere in moved[1:])
+        assert {name for name, _ in moved} >= {"cnot", "rotate", "ry"}
+
+
+@pytest.mark.parametrize("batch", [(), (0,), (1,), (3,), (2, 0), (2, 3)])
+@pytest.mark.parametrize("tile_bytes", [8, 1 << 10, 1 << 17])
+def test_square_tiled_rotation_equals_the_swapaxes_copy(batch, tile_bytes, monkeypatch):
+    # Every shift of 1-9 qubits with any trailing batch, empty ones included,
+    # and tiles of one amplitude, of a few, or of the default size.
+    monkeypatch.setattr(qnn, "_TILE_BYTES", tile_bytes)
+    rng = np.random.default_rng(len(batch) + tile_bytes)
+    for n in range(1, 10):
+        amps = rng.normal(size=(1 << n,) + batch)
+        for d in range(1, n):
+            want = amps.reshape((1 << d, 1 << (n - d)) + batch).swapaxes(0, 1).copy()
+            out = np.full_like(amps, np.nan)
+            assert qnn._rotate(amps, d, out) is out
+            assert out.tobytes() == want.tobytes()
+
+
 # --------------------------------------------------------------------------
 # Losses
 
@@ -583,10 +719,10 @@ def test_batch_cross_entropy_matches_per_sample_loss():
 
 @given(problem=strategies.problems(strategies.ANY_MODELS))
 def test_fused_loss_is_mean_of_per_row_losses_on_any_model(problem):
-    # Random parity-head circuits on 1-4 qubits (phase gates, weight
-    # expressions, products) as well as the five built models: the loss
-    # from the encoded rows and the walk of the weights equals the
-    # textbook per-row loss of ``forward``.
+    # Random parity- or regression-head circuits on 1-4 qubits (no gates,
+    # phase gates, weight expressions, products) as well as the five built
+    # models: the loss from the encoded rows and the walk of the weights
+    # equals the textbook per-row loss of ``forward``.
     model, kind, w, dataset = problem
     want = np.mean([
         oracles.per_row_loss(forward(model, s.features, w), s.target, kind)
@@ -612,6 +748,19 @@ def test_contracted_values_equal_public_predictions_bit_for_bit(problem, data):
         else:
             want = predict_probs(model, X, weights)[np.arange(len(X)), targets.astype(int)]
         np.testing.assert_array_equal(row, want)
+
+
+def test_an_empty_ansatz_reads_out_the_encoded_states():
+    # With no variational gate the fitted values are the encoded states'
+    # readout: P(label) of each row, bit for bit the prediction, and the loss
+    # is their mean cross-entropy.
+    model = QnnModel("e", build_efm(), Circuit(2, ()), PARITY)
+    dataset = gen_two_class_usage(per_class=3, seed=1)
+    X, labels = dataset.features_array(), dataset.targets_array().astype(int)
+    want = predict_probs(model, X, np.zeros(0))[np.arange(len(X)), labels]
+    fitted = qnn._Problem(model, dataset, CROSS_ENTROPY).fitted(np.zeros((2, 0)))
+    assert fitted.tobytes() == np.vstack([want, want]).tobytes()
+    assert batch_loss(model, np.zeros(0), dataset, CROSS_ENTROPY) == np.mean(-np.log(want))
 
 
 @st.composite
